@@ -303,6 +303,56 @@ let test_build_full () =
         Alcotest.failf "route %d -> %d failed: %a" src dst Tz.Routing_error.pp e
   done
 
+(* ---------- engine pin: exact counts on one fixed instance ---------- *)
+
+let check_pin what (o : Routing.Dist_hopset.outcome) ~rounds ~messages ~peak
+    ~phases =
+  let m = o.Routing.Dist_hopset.report in
+  if o.Routing.Dist_hopset.failures <> [] then
+    fail_failures what o.Routing.Dist_hopset.failures;
+  Alcotest.(check int) (what ^ " rounds") rounds m.Congest.Metrics.rounds;
+  Alcotest.(check int) (what ^ " messages") messages m.Congest.Metrics.messages;
+  Alcotest.(check int) (what ^ " peak memory") peak
+    (Congest.Metrics.peak_memory_max m);
+  Alcotest.(check (list (pair string int)))
+    (what ^ " phase rounds") phases o.Routing.Dist_hopset.phase_rounds
+
+let test_engine_pin () =
+  (* both upper-stage runs on a 6x6 grid, k = 3, over the raw transport and
+     over Reliable under a fixed drop/duplicate plan *)
+  let g = Gen.grid ~rng:(rng 70) ~rows:6 ~cols:6 () in
+  let r = rng 71 in
+  let ds = Routing.Dist_scheme.run ~rng:r ~k:3 ~max_rounds:500_000 g in
+  if ds.Routing.Dist_scheme.failures <> [] then
+    fail_failures "exact stage" ds.Routing.Dist_scheme.failures;
+  let faults =
+    Congest.Fault.make
+      { Congest.Fault.none with seed = 5; drop = 0.1; duplicate = 0.05 }
+  in
+  let phases =
+    [
+      ("hopset setup (BFS)", 23);
+      ("hopset levels 1", 147);
+      ("hopset levels 2", 189);
+      ("hopset bunches level 0", 126);
+      ("hopset bunches level 1", 168);
+      ("hopset bunches level 2", 210);
+      ("approx setup (BFS)", 23);
+      ("approx pivots level 2", 1759);
+      ("approx clusters level 1", 1897);
+      ("approx clusters level 2", 2551);
+    ]
+  in
+  let raw =
+    Routing.Dist_hopset.run ~rng:(Random.State.copy r) ~max_rounds:500_000 g ds
+  in
+  check_pin "raw" raw ~rounds:7113 ~messages:45039 ~peak:620 ~phases;
+  let rel =
+    Routing.Dist_hopset.run ~rng:(Random.State.copy r) ~faults
+      ~max_rounds:500_000 g ds
+  in
+  check_pin "reliable" rel ~rounds:51893 ~messages:1844565 ~peak:660 ~phases
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -335,4 +385,6 @@ let () =
             test_build_scheme_matches_centralized_upper;
           Alcotest.test_case "build_full end-to-end" `Quick test_build_full;
         ] );
+      ( "engine",
+        [ Alcotest.test_case "pinned counts (6x6 grid, k=3)" `Quick test_engine_pin ] );
     ]
