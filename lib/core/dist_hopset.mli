@@ -11,9 +11,7 @@
     {!Scheme.build_from_exact}[ ?upper], the entire Appendix B construction
     runs as messages, end to end.
 
-    Two transport runs share the superstep engine (BFS barrier tree,
-    Advance/Done/Next, delta offers, quiescence/budget phase ends, typed
-    watchdog failures — all exactly as in [Dist_scheme]):
+    Two {!Superstep} runs, the engine {!Dist_scheme} drives too:
 
     + {e run A (construction)} computes the wave fixpoints the hopset edge
       list is a pure function of ({!Hopsets.Construct.fields}): one
