@@ -357,6 +357,49 @@ let test_engine_pin () =
   in
   check_pin "reliable" rel ~rounds:4176 ~messages:111533 ~peak:195 ~phases
 
+(* The same instance over Reliable under the build-er-faulty benchmark's
+   fault mix, delays included. Every fault counter and each vertex's peak
+   declared words are pinned, so a change to delayed delivery order, to
+   the fault hash or to the transport's buffered-word accounting moves a
+   figure here. *)
+let test_engine_pin_fault_mix () =
+  let g = Gen.grid ~rng:(rng 70) ~rows:6 ~cols:6 () in
+  let faults =
+    Congest.Fault.make
+      {
+        Congest.Fault.none with
+        seed = 13;
+        drop = 0.05;
+        duplicate = 0.02;
+        delay = 0.05;
+        max_delay = 3;
+      }
+  in
+  let o =
+    Routing.Dist_scheme.run ~rng:(rng 71) ~k:3 ~faults ~max_rounds:500_000 g
+  in
+  check_pin "fault mix" o ~rounds:2958 ~messages:107002 ~peak:192
+    ~phases:
+      [
+        ("hierarchy sampling + BFS setup", 23);
+        ("exact pivots level 1", 84);
+        ("exact clusters level 0", 63);
+        ("virtual edges (B-bounded wave)", 253);
+      ];
+  let m = o.Routing.Dist_scheme.report in
+  Alcotest.(check (list int))
+    "fault counters (retransmitted, dropped, duplicated, delayed)"
+    [ 8262; 5383; 2004; 4877 ]
+    Congest.Metrics.[ m.retransmitted; m.dropped; m.duplicated; m.delayed ];
+  Alcotest.(check (array int))
+    "per-vertex peak memory"
+    [|
+      119; 134; 143; 137; 132; 107; 140; 152; 152; 151; 142; 131; 129; 157;
+      157; 160; 180; 136; 142; 149; 192; 146; 142; 122; 138; 152; 144; 151;
+      161; 130; 107; 138; 129; 125; 129; 112;
+    |]
+    m.Congest.Metrics.peak_memory
+
 (* ---------- watchdog: setup never completes ---------- *)
 
 let test_setup_timeout () =
@@ -416,7 +459,11 @@ let () =
             test_setup_timeout;
         ] );
       ( "engine",
-        [ Alcotest.test_case "pinned counts (6x6 grid, k=3)" `Quick test_engine_pin ] );
+        [
+          Alcotest.test_case "pinned counts (6x6 grid, k=3)" `Quick test_engine_pin;
+          Alcotest.test_case "pinned counts under the fault mix" `Quick
+            test_engine_pin_fault_mix;
+        ] );
       ( "bounded BF",
         [
           Alcotest.test_case "virtual wave = bellman_ford" `Quick
