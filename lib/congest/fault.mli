@@ -18,11 +18,13 @@
     parallel and still reproduce the single-domain run bit for bit. *)
 
 type spec = {
-  seed : int;  (** seed of the plan's private random stream *)
+  seed : int;  (** seed of the per-message verdict hash *)
   drop : float;  (** per-message drop probability, in [0,1] *)
   duplicate : float;  (** per-message duplication probability *)
   delay : float;  (** per-message delay probability *)
-  max_delay : int;  (** delayed messages arrive 1..max_delay rounds late *)
+  max_delay : int;
+      (** delayed messages arrive 1..max_delay rounds late; a compiled plan
+          and each simulator domain hold O(max_delay) words for them *)
   link_failures : (int * int * int) list;
       (** [(u, v, r)]: the undirected link u—v drops everything from round r on *)
   link_flaps : (int * int * int * int) list;
@@ -72,7 +74,9 @@ val classify : t -> round:int -> src:int -> dst:int -> k:int -> verdict
     round. Pure: the same arguments always yield the same verdict, in any
     call order, from any domain. The simulator derives [k] from its
     per-port capacity counter, so every physical message gets a distinct
-    coordinate. *)
+    coordinate. Allocation-free in native code: the splitmix64 hash runs on
+    unboxed [int64] values and a [Delay] verdict is shared, built once per
+    delay length by {!make}. *)
 
 val link_down : t -> round:int -> int -> int -> bool
 

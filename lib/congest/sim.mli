@@ -21,9 +21,13 @@
     In-flight messages are not boxed values: a send encodes its payload as
     [M.slots] unboxed ints into a {!Slab} record, delivery moves flat
     records between slabs, and the payload is only decoded back to an [M.t]
-    when the receiving program reads its inbox. The hot path therefore
-    allocates nothing on the OCaml heap per message, and — slabs being
-    Bigarrays — records cross domain boundaries without touching the GC.
+    when the receiving program reads its inbox. Under a fault plan the
+    verdict is computed without allocating ({!Fault.classify}) and a
+    delayed message waits in a slab record for its landing round like any
+    other. From [send] to that decode a message therefore allocates nothing
+    on the OCaml heap; the decoded inbox — a list of [(port, payload)]
+    pairs — is the one per-message allocation left. Slabs being Bigarrays,
+    records cross domain boundaries without touching the GC.
 
     The event engine can be sharded across OCaml domains ([?domains]):
     vertices are partitioned into contiguous blocks, each domain runs its
