@@ -1,8 +1,9 @@
 (** Reliable, round-preserving transport over the faulty simulator.
 
     {!Make} wraps {!Sim.Make} with a per-link ack/retransmit stream (sequence
-    numbers, cumulative acks, [wait_until]-driven timeouts with exponential
-    backoff) underneath an alpha-synchronizer: every vertex closes each of its
+    numbers over a ring of outgoing frames, cumulative acks,
+    [wait_until]-driven timeouts with exponential backoff) underneath an
+    alpha-synchronizer: every vertex closes each of its
     {e virtual} rounds with an end-of-round marker on every live link and only
     advances once it holds the matching marker from every live neighbour.
 
@@ -74,11 +75,18 @@ module Make (M : Sim.MESSAGE) : sig
       to one port in one virtual round and {!Sim.Message_too_large} beyond
       [word_limit] — the protocol-level CONGEST limits stay enforced even
       though the transport's own frames ride on a wider physical budget;
-      [set_memory w] declares [w + transport buffers] words, charging
-      retransmission queues honestly to the vertex's ledger; [dead_ports]
-      lists links declared dead with reasons (empty in any run the transport
-      fully masked). A protocol body abstracted over the module runs
-      unchanged on either transport.
+      [set_memory w] declares [w] plus the transport's buffered words, so
+      retransmission buffers are charged to the vertex's ledger: the frame
+      words of every frame in a link's outgoing stream (transmitted but
+      unacked, or not yet transmitted) or held out of order, [1 + payload
+      words] for every payload received but not yet delivered, and 6 words
+      of state per link. The transport keeps that sum as a running counter,
+      updated as frames enter and leave its buffers, so the call costs O(1);
+      [add_memory d] adjusts the last declared total by [d] without
+      re-reading the buffers. [dead_ports] lists links declared dead with
+      reasons, in port order (empty in any run the transport fully masked);
+      the list is rebuilt only when a link dies. A protocol body abstracted
+      over the module runs unchanged on either transport.
 
       [edge_capacity] and [word_limit] are the {e protocol-level} limits;
       the underlying simulator runs with a constant-factor wider budget
