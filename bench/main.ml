@@ -1054,54 +1054,47 @@ let distscheme () =
   let module DS = Routing.Dist_scheme in
   let module DH = Routing.Dist_hopset in
   let module ES = Routing.Scheme.Exact_stage in
+  let module P = Routing.Pipeline in
   let jrows = ref [] in
   let row label g ~k ~seed =
     let n = Graph.n g in
-    let r = rng seed in
-    let o = DS.run ~rng:r ~k g in
-    if o.DS.failures <> [] then begin
+    let p = P.run ~rng:(rng seed) ~k g in
+    if p.P.failures <> [] then begin
       Printf.eprintf "distscheme: protocol failures (%s): %s\n" label
-        (String.concat " | " (List.map DS.failure_to_string o.DS.failures));
+        (String.concat " | " (List.map DS.failure_to_string p.P.failures));
       exit 1
     end;
-    (* the equality gate, asserted per row: the distributed stage must be
+    (* the equality gates, asserted per row: both distributed stages must be
        bit-identical to the centralized computation on the same seed *)
-    (match DS.check_against_centralized ~rng:(rng seed) g o with
-    | [] -> ()
-    | ds ->
-      Printf.eprintf "distscheme: %s diverges from centralized (%d lines):\n"
-        label (List.length ds);
-      List.iteri (fun i d -> if i < 5 then Printf.eprintf "  %s\n" d) ds;
-      exit 1);
-    (* upper stage: hopset waves + approximate BF, gated the same way; the
-       centralized build on a twin rng state supplies the charged formulas
+    List.iter
+      (fun (stage, verdict) ->
+        match verdict with
+        | P.Identical -> ()
+        | P.Diverged ds ->
+          Printf.eprintf
+            "distscheme: %s stage of %s diverges from centralized (%d lines):\n"
+            stage label (List.length ds);
+          List.iteri (fun i d -> if i < 5 then Printf.eprintf "  %s\n" d) ds;
+          exit 1
+        | P.Skipped ->
+          Printf.eprintf "distscheme: %s stage gate of %s did not run\n" stage
+            label;
+          exit 1)
+      [ ("exact", p.P.exact_gate); ("upper", p.P.upper_gate) ];
+    let o = p.P.exact and oh = Option.get p.P.upper in
+    (* the centralized build on the same seed supplies the charged formulas
        the measured spans replace *)
-    let rgate = Random.State.copy r in
-    let oh = DH.run ~rng:r g o in
-    if oh.DH.failures <> [] then begin
-      Printf.eprintf "distscheme: upper-stage failures (%s): %s\n" label
-        (String.concat " | " (List.map DH.failure_to_string oh.DH.failures));
-      exit 1
-    end;
-    (match DH.check_against_centralized ~rng:(Random.State.copy rgate) g oh with
-    | [] -> ()
-    | ds ->
-      Printf.eprintf
-        "distscheme: upper stage of %s diverges from centralized (%d lines):\n"
-        label (List.length ds);
-      List.iteri (fun i d -> if i < 5 then Printf.eprintf "  %s\n" d) ds;
-      exit 1);
     let charged = ES.compute g ~k ~levels:o.DS.exact.ES.levels in
-    let s_cent = DS.build_scheme ~rng:rgate g o in
+    let s_cent = Routing.Scheme.build ~rng:(rng seed) ~k g in
     let cent_phases = Routing.Cost.phases (Routing.Scheme.cost s_cent) in
+    let rounds_named name phases =
+      List.find_map
+        (fun (p : Routing.Cost.phase) ->
+          if p.Routing.Cost.name = name then Some p.Routing.Cost.rounds else None)
+        phases
+    in
     let hopset_charged =
-      match
-        List.find_opt
-          (fun (p : Routing.Cost.phase) -> p.Routing.Cost.name = "hopset")
-          cent_phases
-      with
-      | Some p -> p.Routing.Cost.rounds
-      | None -> 0
+      Option.value ~default:0 (rounds_named "hopset" cent_phases)
     in
     let is_hopset_phase name =
       String.length name >= 6 && String.sub name 0 6 = "hopset"
@@ -1112,30 +1105,22 @@ let distscheme () =
          depth of the level below, the virtual wave with its hop bound B.
          Approx pivot/cluster phases match the centralized build's charges by
          name; the construction waves are charged as one "hopset" lump,
-         compared in aggregate below. *)
-      match
-        List.find_opt
-          (fun (p : Routing.Cost.phase) -> p.Routing.Cost.name = name)
-          (Routing.Cost.phases charged.ES.phases)
-      with
-      | Some p -> Some p.Routing.Cost.rounds
+         compared in aggregate below. The setup (hierarchy sampling + BFS)
+         has no formula: its measured span stands in, as in the exact
+         stage's own cost. *)
+      match rounds_named name (Routing.Cost.phases charged.ES.phases) with
+      | Some r -> Some r
       | None -> (
         try
           Scanf.sscanf name "exact pivots level %d" (fun j ->
               Some (ES.claim8_depth ~n ~k (j - 1)))
-        with _ -> (
+        with _ ->
           if name = "virtual edges (B-bounded wave)" then Some o.DS.b
           else if is_hopset_phase name then None
           else
-            match
-              List.find_opt
-                (fun (p : Routing.Cost.phase) -> p.Routing.Cost.name = name)
-                cent_phases
-            with
-            | Some p -> Some p.Routing.Cost.rounds
-            | None -> None))
+            rounds_named name
+              (cent_phases @ Routing.Cost.phases o.DS.exact.ES.phases))
     in
-    let all_phases = o.DS.phase_rounds @ oh.DH.phase_rounds in
     let jphases =
       List.map
         (fun (name, measured) ->
@@ -1150,7 +1135,7 @@ let distscheme () =
               ( "charged_rounds",
                 match ch with Some c -> J.Int c | None -> J.Null );
             ])
-        all_phases
+        p.P.phases
     in
     let hopset_measured =
       List.fold_left
@@ -1159,7 +1144,7 @@ let distscheme () =
     in
     Printf.printf "%-8s %5d %2d %4d | %-34s %9d %9d\n" label n k o.DS.b
       "hopset construction (aggregate)" hopset_measured hopset_charged;
-    let m = Congest.Metrics.merge o.DS.report oh.DH.report in
+    let m = p.P.metrics in
     jrows :=
       J.Obj
         [
@@ -1397,23 +1382,6 @@ let traffic_bench ?(smoke = false) () =
   (* the bracketed forwarding loops must allocate nothing; a small
      per-domain slack absorbs Gc bookkeeping noise *)
   let alloc_budget nd = 4096.0 *. float_of_int nd in
-  (* deterministic-field fingerprint: everything in [stats] except timings
-     and cache counters; [compare] (not [=]) so NaN stretch fields of an
-     all-failed run still match themselves *)
-  let fingerprint (st : Serve.Engine.stats) =
-    ( ( st.Serve.Engine.delivered,
-        st.Serve.Engine.failed,
-        st.Serve.Engine.errors,
-        st.Serve.Engine.sources ),
-      ( Congest.Histogram.buckets st.Serve.Engine.hops,
-        Congest.Histogram.buckets st.Serve.Engine.load,
-        Congest.Histogram.buckets st.Serve.Engine.base_load ),
-      ( st.Serve.Engine.stretch_p50,
-        st.Serve.Engine.stretch_p95,
-        st.Serve.Engine.stretch_max,
-        st.Serve.Engine.stretch_avg ),
-      (st.Serve.Engine.max_load, st.Serve.Engine.base_max_load) )
-  in
   let jrows = ref [] in
   let run_graph (tname, g) seed =
     let brng = rng (7100 + seed) in
@@ -1485,19 +1453,18 @@ let traffic_bench ?(smoke = false) () =
                 (alloc_budget st.Serve.Engine.domains);
               exit 1
             end;
-            let fp = fingerprint st in
             (* no perf claim before bit-identity against domains=1 is proven *)
             (match !base with
-            | None -> base := Some (fp, st)
-            | Some (fp0, _) ->
-              if compare fp fp0 <> 0 then begin
+            | None -> base := Some st
+            | Some st1 ->
+              if not (Serve.Engine.same_outcome st st1) then begin
                 Printf.eprintf
                   "traffic %s/%d %s: domains=%d diverged from the domains=1 \
                    baseline -- sharding bug\n"
                   tname seed (Serve.Traffic.name model) domains;
                 exit 1
               end);
-            let _, st1 = Option.get !base in
+            let st1 = Option.get !base in
             let speedup =
               if st1.Serve.Engine.qps > 0.0 then
                 st.Serve.Engine.qps /. st1.Serve.Engine.qps
@@ -1523,7 +1490,7 @@ let traffic_bench ?(smoke = false) () =
                 ]
               :: !by_domains)
           domain_counts;
-        let _, st = Option.get !base in
+        let st = Option.get !base in
         let bound = float_of_int ((4 * k) - 3) in
         if st.Serve.Engine.stretch_max > bound +. 1e-9 then
           failwith

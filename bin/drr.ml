@@ -168,6 +168,11 @@ let pp_fault_plan faults reliable =
       (List.length s.Congest.Fault.crashes)
       (match reliable with Some false -> "raw" | _ -> "reliable")
 
+let pp_fault_counters (m : Congest.Metrics.t) =
+  if m.dropped + m.duplicated + m.delayed + m.retransmitted > 0 then
+    Format.printf "faults: dropped %d, duplicated %d, delayed %d; retransmitted %d@."
+      m.dropped m.duplicated m.delayed m.retransmitted
+
 (* ---- info ---- *)
 
 let info_cmd =
@@ -322,12 +327,7 @@ let tree_cmd =
         List.iter (fun f -> Format.printf "  %s@." f) fs);
       Format.printf "rounds: %d@.messages: %d (%d words)@." m.Congest.Metrics.rounds
         m.Congest.Metrics.messages m.Congest.Metrics.message_words;
-      if m.Congest.Metrics.dropped + m.Congest.Metrics.duplicated
-         + m.Congest.Metrics.delayed + m.Congest.Metrics.retransmitted > 0
-      then
-        Format.printf "faults: dropped %d, duplicated %d, delayed %d; retransmitted %d@."
-          m.Congest.Metrics.dropped m.Congest.Metrics.duplicated
-          m.Congest.Metrics.delayed m.Congest.Metrics.retransmitted;
+      pp_fault_counters m;
       Format.printf "|U(T)| = %d, ecc(root) = %d@." out.Routing.Dist_tree_routing.u_count
         out.Routing.Dist_tree_routing.d_bfs;
       Format.printf "peak memory: %d words (avg %.1f), max edge load: %d@."
@@ -433,6 +433,99 @@ let trace_cmd =
 
 (* ---- dist-scheme ---- *)
 
+let dist_scheme_json ~full ~k g (p : Routing.Pipeline.t) =
+  let open Congest.Export.Json in
+  let ds = p.exact in
+  let divergences = function Routing.Pipeline.Diverged ds -> ds | _ -> [] in
+  (* gate_mode and divergences are null exactly when no gate ran *)
+  let gated = p.exact_gate <> Skipped || p.upper_gate <> Skipped in
+  let verdict v = Str (Routing.Pipeline.verdict_name v) in
+  Obj
+    [
+      ("command", Str "dist-scheme");
+      ("full", Bool full);
+      ("n", Int (Graph.n g));
+      ("m", Int (Graph.m g));
+      ("k", Int k);
+      ("b", Int ds.b);
+      ("virtual_size", Int (List.length ds.members));
+      ( "hopset_size",
+        match p.upper with
+        | Some { hopset = Some h; _ } -> Int (Hopsets.Hopset.size h)
+        | _ -> Null );
+      ( "phases",
+        Arr
+          (List.map
+             (fun (name, rounds) ->
+               Obj [ ("name", Str name); ("rounds", Int rounds) ])
+             p.phases) );
+      ("exact_stage_cost", Routing.Cost.to_json ds.exact.phases);
+      ("metrics", Congest.Export.metrics p.metrics);
+      ( "scheme_cost",
+        match p.scheme with
+        | Some s -> Routing.Cost.to_json (Routing.Scheme.cost s)
+        | None -> Null );
+      ( "gate_mode",
+        if gated then Str (Routing.Dist_scheme.gate_mode_name p.gate_mode)
+        else Null );
+      ( "divergences",
+        if gated then
+          Arr
+            (List.map
+               (fun d -> Str d)
+               (divergences p.exact_gate @ divergences p.upper_gate))
+        else Null );
+      ("gates", Obj [ ("exact", verdict p.exact_gate); ("upper", verdict p.upper_gate) ]);
+      ( "failures",
+        Arr
+          (List.map
+             (fun f -> Str (Routing.Dist_scheme.failure_to_string f))
+             p.failures) );
+    ]
+
+let pp_dist_scheme ~full (p : Routing.Pipeline.t) =
+  let ds = p.exact and m = p.metrics in
+  (match p.failures with
+  | [] -> ()
+  | fs ->
+    Format.printf "PROTOCOL FAILURES:@.";
+    List.iter (fun f -> Format.printf "  %a@." Routing.Dist_scheme.pp_failure f) fs);
+  Format.printf "measured phase spans (|V'| = %d, B = %d):@."
+    (List.length ds.members) ds.b;
+  List.iter
+    (fun (name, rounds) -> Format.printf "  %-34s %8d rounds@." name rounds)
+    p.phases;
+  Format.printf "rounds: %d@.messages: %d (%d words)@." m.rounds m.messages
+    m.message_words;
+  pp_fault_counters m;
+  Format.printf "peak memory: %d words (avg %.1f), max edge load: %d@."
+    (Congest.Metrics.peak_memory_max m)
+    (Congest.Metrics.peak_memory_avg m)
+    m.max_edge_load;
+  if full then begin
+    match p.scheme with
+    | Some s ->
+      Format.printf
+        "spliced scheme: hopset %d edges, cost %d rounds (all measured \
+         construction spans)@."
+        (Routing.Scheme.hopset_size s)
+        (Routing.Cost.total_rounds (Routing.Scheme.cost s))
+    | None -> Format.printf "no scheme: pipeline stopped on failures@."
+  end;
+  let mode = Routing.Dist_scheme.gate_mode_name p.gate_mode in
+  List.iter
+    (fun (stage, (verdict : Routing.Pipeline.verdict)) ->
+      match verdict with
+      | Identical ->
+        Format.printf "%s gate (%s): identical to centralized@." stage mode
+      | Skipped -> Format.printf "%s gate: skipped@." stage
+      | Diverged ds ->
+        Format.printf "%s gate (%s): %d DIVERGENCES@." stage mode
+          (List.length ds);
+        List.iteri (fun i d -> if i < 10 then Format.printf "  %s@." d) ds)
+    (("exact-stage", p.exact_gate)
+    :: (if full then [ ("upper-stage", p.upper_gate) ] else []))
+
 let dist_scheme_cmd =
   let b_t =
     Arg.(
@@ -447,7 +540,7 @@ let dist_scheme_cmd =
     Arg.(
       value & flag
       & info [ "no-check" ]
-          ~doc:"Skip the differential gate against the centralized exact stage.")
+          ~doc:"Skip the differential gates against the centralized computation.")
   in
   let full_t =
     Arg.(
@@ -456,276 +549,32 @@ let dist_scheme_cmd =
           ~doc:
             "Run the complete distributed pipeline: exact stage, hopset \
              construction and approximate Bellman-Ford (Dist_hopset), then \
-             splice the measured upper stage into the full routing scheme. \
-             Each protocol stage is gated against its centralized reference; \
-             any divergence exits 1 (in text and JSON modes alike).")
-  in
-  let run_full ~seed ~k ~b ~faults ~reliable ~rounds_limit ~domains ~no_check
-      ~json g =
-    let rng = Random.State.make [| seed; 6 |] in
-    if not json then begin
-      Format.printf
-        "executing the full Appendix B pipeline on %a with k=%d...@." Graph.pp
-        g k;
-      pp_fault_plan faults reliable
-    end;
-    let ds =
-      Routing.Dist_scheme.run ~rng ~k ?b ?faults ?reliable
-        ?max_rounds:rounds_limit ~domains g
-    in
-    let gate_mode = Routing.Dist_scheme.auto_gate_mode (Graph.n g) in
-    let ds_div =
-      if no_check || ds.Routing.Dist_scheme.failures <> [] then None
-      else
-        Some
-          (Routing.Dist_scheme.check_against_centralized
-             ~rng:(Random.State.make [| seed; 6 |])
-             ~mode:gate_mode g ds)
-    in
-    let rgate = Random.State.copy rng in
-    let o =
-      if ds.Routing.Dist_scheme.failures = [] then
-        Some
-          (Routing.Dist_hopset.run ~rng ?faults ?reliable
-             ?max_rounds:rounds_limit ~domains g ds)
-      else None
-    in
-    let dh_div =
-      match o with
-      | Some o when o.Routing.Dist_hopset.failures = [] && not no_check ->
-        Some
-          (Routing.Dist_hopset.check_against_centralized ~rng:rgate
-             ~mode:gate_mode g o)
-      | _ -> None
-    in
-    let scheme =
-      match o with
-      | Some o
-        when o.Routing.Dist_hopset.failures = []
-             && o.Routing.Dist_hopset.upper <> None ->
-        Some (Routing.Dist_hopset.build_scheme ~rng g ds o)
-      | _ -> None
-    in
-    let failures =
-      ds.Routing.Dist_scheme.failures
-      @ (match o with Some o -> o.Routing.Dist_hopset.failures | None -> [])
-    in
-    let phases =
-      ds.Routing.Dist_scheme.phase_rounds
-      @ (match o with Some o -> o.Routing.Dist_hopset.phase_rounds | None -> [])
-    in
-    let metrics =
-      match o with
-      | Some o ->
-        Congest.Metrics.merge ds.Routing.Dist_scheme.report
-          o.Routing.Dist_hopset.report
-      | None -> ds.Routing.Dist_scheme.report
-    in
-    let divergences =
-      Option.value ds_div ~default:[] @ Option.value dh_div ~default:[]
-    in
-    if json then begin
-      let open Congest.Export.Json in
-      print_endline
-        (to_string
-           (Obj
-              [
-                ("command", Str "dist-scheme");
-                ("full", Bool true);
-                ("n", Int (Graph.n g));
-                ("m", Int (Graph.m g));
-                ("k", Int k);
-                ("b", Int ds.Routing.Dist_scheme.b);
-                ( "virtual_size",
-                  Int (List.length ds.Routing.Dist_scheme.members) );
-                ( "hopset_size",
-                  match o with
-                  | Some { Routing.Dist_hopset.hopset = Some h; _ } ->
-                    Int (Hopsets.Hopset.size h)
-                  | _ -> Null );
-                ( "phases",
-                  Arr
-                    (List.map
-                       (fun (name, rounds) ->
-                         Obj [ ("name", Str name); ("rounds", Int rounds) ])
-                       phases) );
-                ("metrics", Congest.Export.metrics metrics);
-                ( "scheme_cost",
-                  match scheme with
-                  | Some s -> Routing.Cost.to_json (Routing.Scheme.cost s)
-                  | None -> Null );
-                ( "gate_mode",
-                  if no_check then Null
-                  else Str (Routing.Dist_scheme.gate_mode_name gate_mode) );
-                ("divergences", Arr (List.map (fun d -> Str d) divergences));
-                ( "failures",
-                  Arr
-                    (List.map
-                       (fun f -> Str (Routing.Dist_hopset.failure_to_string f))
-                       failures) );
-              ]));
-      if divergences <> [] then exit 1
-    end
-    else begin
-      (match failures with
-      | [] -> ()
-      | fs ->
-        Format.printf "PROTOCOL FAILURES:@.";
-        List.iter
-          (fun f -> Format.printf "  %a@." Routing.Dist_hopset.pp_failure f)
-          fs);
-      Format.printf "measured phase spans (|V'| = %d, B = %d):@."
-        (List.length ds.Routing.Dist_scheme.members)
-        ds.Routing.Dist_scheme.b;
-      List.iter
-        (fun (name, rounds) -> Format.printf "  %-34s %8d rounds@." name rounds)
-        phases;
-      Format.printf "rounds: %d@.messages: %d (%d words)@."
-        metrics.Congest.Metrics.rounds metrics.Congest.Metrics.messages
-        metrics.Congest.Metrics.message_words;
-      Format.printf "peak memory: %d words (avg %.1f), max edge load: %d@."
-        (Congest.Metrics.peak_memory_max metrics)
-        (Congest.Metrics.peak_memory_avg metrics)
-        metrics.Congest.Metrics.max_edge_load;
-      (match scheme with
-      | Some s ->
-        Format.printf
-          "spliced scheme: hopset %d edges, cost %d rounds (all measured \
-           construction spans)@."
-          (Routing.Scheme.hopset_size s)
-          (Routing.Cost.total_rounds (Routing.Scheme.cost s))
-      | None -> Format.printf "no scheme: pipeline stopped on failures@.");
-      if no_check || failures <> [] then
-        Format.printf "differential gates: skipped@."
-      else if divergences = [] then
-        Format.printf
-          "differential gates (%s): both stages identical to centralized@."
-          (Routing.Dist_scheme.gate_mode_name gate_mode)
-      else begin
-        Format.printf "differential gates (%s): %d DIVERGENCES@."
-          (Routing.Dist_scheme.gate_mode_name gate_mode)
-          (List.length divergences);
-        List.iteri
-          (fun i d -> if i < 10 then Format.printf "  %s@." d)
-          divergences;
-        exit 1
-      end
-    end
+             splice the measured upper stage into the full routing scheme.")
   in
   let run seed n k topology b faults reliable rounds_limit domains no_check full
       json =
-    if full then
-      run_full ~seed ~k ~b ~faults ~reliable ~rounds_limit ~domains ~no_check
-        ~json
-        (make_graph ~seed ~n topology)
-    else begin
     let g = make_graph ~seed ~n topology in
-    let rng = Random.State.make [| seed; 6 |] in
     if not json then begin
-      Format.printf
-        "executing Appendix B's exact stage on %a with k=%d...@." Graph.pp g k;
+      if full then
+        Format.printf "executing the full Appendix B pipeline on %a with k=%d...@."
+          Graph.pp g k
+      else
+        Format.printf "executing Appendix B's exact stage on %a with k=%d...@."
+          Graph.pp g k;
       pp_fault_plan faults reliable
     end;
-    let trace = if json then Some (Congest.Trace.make ()) else None in
-    let out =
-      Routing.Dist_scheme.run ~rng ~k ?b ?faults ?reliable ?trace
-        ?max_rounds:rounds_limit ~domains g
+    let p =
+      Routing.Pipeline.run ~rng:(Random.State.make [| seed; 6 |]) ~k
+        ~params:{ Routing.Scheme.Params.default with b }
+        ?faults ?reliable ?max_rounds:rounds_limit ~domains
+        ~check:(not no_check) ~full g
     in
-    (* exact below Dist_scheme.gate_threshold vertices, sampled above — the
-       mode is always reported next to the verdict *)
-    let gate_mode = Routing.Dist_scheme.auto_gate_mode (Graph.n g) in
-    let divergences =
-      if no_check || out.Routing.Dist_scheme.failures <> [] then None
-      else
-        Some
-          (Routing.Dist_scheme.check_against_centralized
-             ~rng:(Random.State.make [| seed; 6 |])
-             ~mode:gate_mode g out)
-    in
-    let m = out.Routing.Dist_scheme.report in
-    if json then begin
-      let open Congest.Export.Json in
-      print_endline
-        (to_string
-           (Obj
-              [
-                ("command", Str "dist-scheme");
-                ("n", Int (Graph.n g));
-                ("m", Int (Graph.m g));
-                ("k", Int k);
-                ("b", Int out.Routing.Dist_scheme.b);
-                ("virtual_size", Int (List.length out.Routing.Dist_scheme.members));
-                ( "phases",
-                  Arr
-                    (List.map
-                       (fun (name, rounds) ->
-                         Obj [ ("name", Str name); ("rounds", Int rounds) ])
-                       out.Routing.Dist_scheme.phase_rounds) );
-                ( "exact_stage_cost",
-                  Routing.Cost.to_json
-                    out.Routing.Dist_scheme.exact.Routing.Scheme.Exact_stage.phases );
-                ("metrics", Congest.Export.metrics m);
-                ( "gate_mode",
-                  match divergences with
-                  | None -> Null
-                  | Some _ -> Str (Routing.Dist_scheme.gate_mode_name gate_mode)
-                );
-                ( "divergences",
-                  match divergences with
-                  | None -> Null
-                  | Some ds -> Arr (List.map (fun d -> Str d) ds) );
-                ( "failures",
-                  Arr
-                    (List.map
-                       (fun f -> Str (Routing.Dist_scheme.failure_to_string f))
-                       out.Routing.Dist_scheme.failures)
-                );
-              ]));
-      match divergences with
-      | Some (_ :: _) -> exit 1
-      | _ -> ()
-    end
-    else begin
-      (match out.Routing.Dist_scheme.failures with
-      | [] -> ()
-      | fs ->
-        Format.printf "PROTOCOL FAILURES:@.";
-        List.iter
-          (fun f -> Format.printf "  %a@." Routing.Dist_scheme.pp_failure f)
-          fs);
-      Format.printf "measured phase spans (|V'| = %d, B = %d):@."
-        (List.length out.Routing.Dist_scheme.members)
-        out.Routing.Dist_scheme.b;
-      List.iter
-        (fun (name, rounds) -> Format.printf "  %-34s %8d rounds@." name rounds)
-        out.Routing.Dist_scheme.phase_rounds;
-      Format.printf "rounds: %d@.messages: %d (%d words)@." m.Congest.Metrics.rounds
-        m.Congest.Metrics.messages m.Congest.Metrics.message_words;
-      if m.Congest.Metrics.dropped + m.Congest.Metrics.duplicated
-         + m.Congest.Metrics.delayed + m.Congest.Metrics.retransmitted > 0
-      then
-        Format.printf "faults: dropped %d, duplicated %d, delayed %d; retransmitted %d@."
-          m.Congest.Metrics.dropped m.Congest.Metrics.duplicated
-          m.Congest.Metrics.delayed m.Congest.Metrics.retransmitted;
-      Format.printf "peak memory: %d words (avg %.1f), max edge load: %d@."
-        (Congest.Metrics.peak_memory_max m)
-        (Congest.Metrics.peak_memory_avg m)
-        m.Congest.Metrics.max_edge_load;
-      match divergences with
-      | None ->
-        if out.Routing.Dist_scheme.failures = [] then
-          Format.printf "differential gate: skipped@."
-      | Some [] ->
-        Format.printf "differential gate (%s): identical to centralized@."
-          (Routing.Dist_scheme.gate_mode_name gate_mode)
-      | Some ds ->
-        Format.printf "differential gate (%s): %d DIVERGENCES@."
-          (Routing.Dist_scheme.gate_mode_name gate_mode)
-          (List.length ds);
-        List.iteri (fun i d -> if i < 10 then Format.printf "  %s@." d) ds;
-        exit 1
-    end
-    end
+    if json then
+      print_endline (Congest.Export.Json.to_string (dist_scheme_json ~full ~k g p))
+    else pp_dist_scheme ~full p;
+    let diverged = function Routing.Pipeline.Diverged _ -> true | _ -> false in
+    if p.failures <> [] || diverged p.exact_gate || diverged p.upper_gate then
+      exit 1
   in
   Cmd.v
     (Cmd.info "dist-scheme"
@@ -734,7 +583,8 @@ let dist_scheme_cmd =
           waves) as a CONGEST protocol and gate it against the centralized \
           computation; with $(b,--full), continue through the hopset \
           construction and approximate Bellman-Ford and splice the measured \
-          upper stage into the full scheme.")
+          upper stage into the full scheme. Exits 1 when a stage reports \
+          failures or a gate finds a divergence.")
     Term.(
       const run $ seed_t $ n_t $ k_t $ topology_t $ b_t $ faults_t $ reliable_t
       $ rounds_limit_t $ domains_t $ no_check_t $ full_t $ json_t)
@@ -972,20 +822,12 @@ let traffic_cmd =
     (* sharding gate: a multi-domain serve must be bit-identical to the
        sequential engine on every deterministic statistic *)
     if domains > 1 && not no_check then begin
-      let fingerprint (st : Serve.Engine.stats) =
-        ( (st.delivered, st.failed, st.errors, st.sources),
-          ( Congest.Histogram.buckets st.hops,
-            Congest.Histogram.buckets st.load,
-            Congest.Histogram.buckets st.base_load ),
-          (st.stretch_p50, st.stretch_p95, st.stretch_max, st.stretch_avg),
-          (st.max_load, st.base_max_load) )
-      in
       List.iter
         (fun ((m : Serve.Traffic.model), st) ->
           let mrng = Random.State.make [| seed; 9 |] in
           let pairs = Serve.Traffic.generate ~rng:mrng m g ~queries in
           let st1 = Serve.Engine.run ~domains:1 ~cache g packed pairs in
-          if compare (fingerprint st) (fingerprint st1) <> 0 then begin
+          if not (Serve.Engine.same_outcome st st1) then begin
             Format.eprintf
               "engine gate FAILED on %s: --domains %d diverged from \
                --domains 1@."

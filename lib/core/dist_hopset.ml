@@ -988,21 +988,3 @@ let build_scheme ~rng ?trace g (ds : Dist_scheme.outcome) (o : outcome) =
   in
   Scheme.build_from_exact ~rng ~params ?trace ?upper:o.upper
     ~exact:ds.Dist_scheme.exact g
-
-let build_full ~rng ~k ?(params = Scheme.Params.default) ?faults ?reliable
-    ?config ?trace ?max_rounds ?scheduler ?domains g =
-  let ds =
-    Dist_scheme.run ~rng ~k ?b:params.Scheme.Params.b ?faults ?reliable ?config
-      ?trace ?max_rounds ?scheduler ?domains g
-  in
-  if ds.Dist_scheme.failures <> [] then (ds, None, None)
-  else
-    let o =
-      run ~rng ~params ?faults ?reliable ?config ?trace ?max_rounds ?scheduler
-        ?domains g ds
-    in
-    let scheme =
-      if o.failures = [] && o.upper <> None then Some (build_scheme ~rng g ds o)
-      else None
-    in
-    (ds, Some o, scheme)

@@ -9,7 +9,8 @@
     [phases] carry the {e measured} rounds and per-vertex memory.
     Stacked on [Dist_scheme] (the exact stage) and spliced back through
     {!Scheme.build_from_exact}[ ?upper], the entire Appendix B construction
-    runs as messages, end to end.
+    runs as messages, end to end; {!Pipeline.run} chains the stages with
+    their gates.
 
     Two {!Superstep} runs, the engine {!Dist_scheme} drives too:
 
@@ -47,9 +48,7 @@
     cluster wave (candidate distances, parents, recovery joins)
     bit-identical to the centralized computation. *)
 
-(** Same shape and rendering as {!Dist_scheme.failure}; both stages post
-    into one shared per-vertex fault table when composed by
-    {!build_full}. *)
+(** The engine's typed failures, shared with {!Dist_scheme.failure}. *)
 type failure = Dist_scheme.failure =
   | Setup_timeout of { vertex : int; round : int }
   | Stalled of { vertex : int; round : int; phase : string; superstep : int }
@@ -140,22 +139,3 @@ val build_scheme :
     the cost/trace now carries measured spans — nothing upper-stage remains
     Cost-charged-only. Parameters are pinned to what the protocols actually
     ran with ([b], [lambda], [beta], [epsilon]); [rng] is not consumed. *)
-
-val build_full :
-  rng:Random.State.t ->
-  k:int ->
-  ?params:Scheme.Params.t ->
-  ?faults:Congest.Fault.t ->
-  ?reliable:bool ->
-  ?config:Congest.Reliable.config ->
-  ?trace:Congest.Trace.t ->
-  ?max_rounds:int ->
-  ?scheduler:Congest.Sim.scheduler ->
-  ?domains:int ->
-  Dgraph.Graph.t ->
-  Dist_scheme.outcome * outcome option * Scheme.t option
-(** The whole distributed pipeline on one rng state: exact stage, upper
-    stage, splice. Stops at the first stage that reports failures (upper
-    outcome/scheme are [None] past that point); the caller inspects the
-    returned outcomes' [failures] for the typed reasons. [?trace] is
-    threaded to both protocol runs (real rounds), not to the splice. *)

@@ -406,6 +406,15 @@ type stats = {
   base_load : H.t;
 }
 
+let same_outcome a b =
+  let key st =
+    ( (st.queries, st.delivered, st.failed, st.errors, st.sources),
+      (H.buckets st.hops, H.buckets st.load, H.buckets st.base_load),
+      (st.stretch_p50, st.stretch_p95, st.stretch_max, st.stretch_avg),
+      (st.max_load, st.base_max_load) )
+  in
+  compare (key a) (key b) = 0
+
 (* nearest-rank percentile of a sorted float array *)
 let fpercentile sorted p =
   let n = Array.length sorted in

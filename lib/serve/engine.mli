@@ -49,6 +49,13 @@ type stats = {
   base_load : Congest.Histogram.t;  (** per-edge loads, baseline *)
 }
 
+val same_outcome : stats -> stats -> bool
+(** [same_outcome a b]: [a] and [b] agree on every field except [domains],
+    the timings, the cache counters ([sp_hits], [sp_misses]) and
+    [loop_alloc_bytes] — the fields the engine promises are independent of
+    the domain count. Compared with [compare], not [=], so the NaN stretch
+    fields of an all-failed run equal themselves. *)
+
 type sp_cache
 (** Per-source single-source-shortest-path memo: the first evaluation to
     need source [s] solves and stores it; later evaluations over the same

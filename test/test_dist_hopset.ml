@@ -18,35 +18,36 @@ let fail_failures what fs =
   Alcotest.failf "%s failures: %s" what
     (String.concat " | " (List.map Routing.Dist_hopset.failure_to_string fs))
 
-(* Run the whole pipeline on one rng state: the exact stage leaves [r]
-   positioned for the hopset level draw, a copy captured there seeds the
-   gate's centralized re-computation. *)
-let run_gate ?b ?params ~seed ~k g =
-  let r = rng seed in
-  let ds = Routing.Dist_scheme.run ~rng:r ~k ?b ~max_rounds:500_000 g in
-  if ds.Routing.Dist_scheme.failures <> [] then
-    fail_failures "exact stage" ds.Routing.Dist_scheme.failures;
-  let rgate = Random.State.copy r in
-  let o =
-    Routing.Dist_hopset.run ~rng:r ?params ~max_rounds:500_000 g ds
+(* Run the whole pipeline on one rng state and require both gates to pass;
+   returns the upper-stage outcome. *)
+let run_gate ?params ?reliable ~seed ~k g =
+  let p =
+    Routing.Pipeline.run ~rng:(rng seed) ~k ?params ?reliable
+      ~max_rounds:500_000 g
   in
-  if o.Routing.Dist_hopset.failures <> [] then
-    fail_failures "upper stage" o.Routing.Dist_hopset.failures;
-  if o.Routing.Dist_hopset.upper = None then
-    Alcotest.fail "clean run produced no upper stage";
-  let errs =
-    Routing.Dist_hopset.check_against_centralized ~rng:rgate g o
-  in
-  if errs <> [] then
-    Alcotest.failf "%d divergences vs centralized: %s" (List.length errs)
-      (concat_take 5 errs);
-  (ds, o)
+  if p.Routing.Pipeline.failures <> [] then
+    fail_failures "pipeline" p.Routing.Pipeline.failures;
+  List.iter
+    (fun (stage, verdict) ->
+      match verdict with
+      | Routing.Pipeline.Identical -> ()
+      | Routing.Pipeline.Diverged errs ->
+        Alcotest.failf "%s stage: %d divergences vs centralized: %s" stage
+          (List.length errs) (concat_take 5 errs)
+      | Routing.Pipeline.Skipped -> Alcotest.failf "%s stage gate skipped" stage)
+    [
+      ("exact", p.Routing.Pipeline.exact_gate);
+      ("upper", p.Routing.Pipeline.upper_gate);
+    ];
+  match p.Routing.Pipeline.upper with
+  | Some ({ Routing.Dist_hopset.upper = Some _; _ } as o) -> o
+  | _ -> Alcotest.fail "clean run produced no upper stage"
 
 (* ---------- the differential gate across topologies ---------- *)
 
 let test_gate_grid () =
   let g = Gen.grid ~rng:(rng 1) ~rows:7 ~cols:7 () in
-  let _, o = run_gate ~seed:11 ~k:3 g in
+  let o = run_gate ~seed:11 ~k:3 g in
   (* run A: setup + (lambda-1) level phases + lambda bunch phases;
      run B: setup + (k-1-ih) pivot phases + (k-ih) cluster phases *)
   let lambda = o.Routing.Dist_hopset.lambda in
@@ -81,7 +82,8 @@ let test_gate_small_b () =
   (* forcing b below the hop diameter makes the hopset do real work: waves
      are cut at b hops, so relays and path recovery carry real traffic *)
   let g = Gen.grid ~rng:(rng 5) ~rows:6 ~cols:6 () in
-  ignore (run_gate ~seed:15 ~k:3 ~b:3 g)
+  let params = { Routing.Scheme.Params.default with b = Some 3 } in
+  ignore (run_gate ~seed:15 ~k:3 ~params g)
 
 let test_gate_lambda2 () =
   let g = Gen.grid ~rng:(rng 6) ~rows:6 ~cols:6 () in
@@ -197,25 +199,10 @@ let test_crash_typed_failure () =
     Alcotest.fail "failed run still produced an upper stage"
 
 let test_reliable_transport_gate () =
-  (* the same protocol body over Congest.Reliable, fault-free: the gate
+  (* the same protocol body over Congest.Reliable, fault-free: both gates
      must hold identically *)
   let g = Gen.grid ~rng:(rng 42) ~rows:5 ~cols:5 () in
-  let r = rng 43 in
-  let ds =
-    Routing.Dist_scheme.run ~rng:r ~k:3 ~reliable:true ~max_rounds:500_000 g
-  in
-  if ds.Routing.Dist_scheme.failures <> [] then
-    fail_failures "exact stage" ds.Routing.Dist_scheme.failures;
-  let rgate = Random.State.copy r in
-  let o =
-    Routing.Dist_hopset.run ~rng:r ~reliable:true ~max_rounds:500_000 g ds
-  in
-  if o.Routing.Dist_hopset.failures <> [] then
-    fail_failures "upper stage" o.Routing.Dist_hopset.failures;
-  let errs = Routing.Dist_hopset.check_against_centralized ~rng:rgate g o in
-  if errs <> [] then
-    Alcotest.failf "%d divergences over Reliable: %s" (List.length errs)
-      (concat_take 5 errs)
+  ignore (run_gate ~reliable:true ~seed:43 ~k:3 g)
 
 (* ---------- splicing into the full scheme ---------- *)
 
@@ -274,17 +261,16 @@ let test_build_scheme_matches_centralized_upper () =
   if not (has "approx setup (BFS)") then
     Alcotest.fail "spliced scheme lost the measured approx setup span"
 
-let test_build_full () =
+let test_pipeline_end_to_end () =
   let g = Gen.torus ~rng:(rng 60) ~rows:5 ~cols:5 () in
-  let ds, o, scheme =
-    Routing.Dist_hopset.build_full ~rng:(rng 61) ~k:3 ~max_rounds:500_000 g
+  let p = Routing.Pipeline.run ~rng:(rng 61) ~k:3 ~max_rounds:500_000 g in
+  if p.Routing.Pipeline.failures <> [] then
+    fail_failures "pipeline" p.Routing.Pipeline.failures;
+  let s =
+    match p.Routing.Pipeline.scheme with
+    | Some s -> s
+    | None -> Alcotest.fail "no scheme"
   in
-  if ds.Routing.Dist_scheme.failures <> [] then
-    fail_failures "exact stage" ds.Routing.Dist_scheme.failures;
-  let o = match o with Some o -> o | None -> Alcotest.fail "no upper outcome" in
-  if o.Routing.Dist_hopset.failures <> [] then
-    fail_failures "upper stage" o.Routing.Dist_hopset.failures;
-  let s = match scheme with Some s -> s | None -> Alcotest.fail "no scheme" in
   let n = Graph.n g in
   let bound =
     float_of_int ((4 * 3) - 3) *. (1.0 +. (8.0 *. Routing.Scheme.epsilon s))
@@ -302,6 +288,54 @@ let test_build_full () =
       | Error e ->
         Alcotest.failf "route %d -> %d failed: %a" src dst Tz.Routing_error.pp e
   done
+
+(* ---------- per-stage gate verdicts ---------- *)
+
+let verdict =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (Routing.Pipeline.verdict_name v))
+    ( = )
+
+let test_stage_verdicts () =
+  (* the pinned 6x6 grid below: the exact stage finishes in 433 rounds, so a
+     600-round limit stops only the upper stage. Its gate must read
+     skipped while the exact stage's still reads identical. *)
+  let g = Gen.grid ~rng:(rng 70) ~rows:6 ~cols:6 () in
+  let run ?check ?max_rounds () =
+    Routing.Pipeline.run ~rng:(rng 71) ~k:3 ?check ?max_rounds g
+  in
+  let p = run ~max_rounds:600 () in
+  Alcotest.(check int) "exact rounds" 433
+    p.Routing.Pipeline.exact.Routing.Dist_scheme.report.Congest.Metrics.rounds;
+  if p.Routing.Pipeline.exact.Routing.Dist_scheme.failures <> [] then
+    fail_failures "exact stage"
+      p.Routing.Pipeline.exact.Routing.Dist_scheme.failures;
+  if
+    not
+      (List.mem
+         (Routing.Dist_hopset.Transport "round limit exceeded")
+         p.Routing.Pipeline.failures)
+  then
+    Alcotest.failf "upper stage did not stop on the round limit: %s"
+      (concat_take 3
+         (List.map Routing.Dist_hopset.failure_to_string
+            p.Routing.Pipeline.failures));
+  Alcotest.check verdict "exact gate, upper stalled" Routing.Pipeline.Identical
+    p.Routing.Pipeline.exact_gate;
+  Alcotest.check verdict "upper gate, upper stalled" Routing.Pipeline.Skipped
+    p.Routing.Pipeline.upper_gate;
+  if p.Routing.Pipeline.scheme <> None then
+    Alcotest.fail "stalled upper stage still spliced a scheme";
+  let p = run () in
+  Alcotest.check verdict "exact gate, clean" Routing.Pipeline.Identical
+    p.Routing.Pipeline.exact_gate;
+  Alcotest.check verdict "upper gate, clean" Routing.Pipeline.Identical
+    p.Routing.Pipeline.upper_gate;
+  let p = run ~check:false () in
+  Alcotest.check verdict "exact gate, check off" Routing.Pipeline.Skipped
+    p.Routing.Pipeline.exact_gate;
+  Alcotest.check verdict "upper gate, check off" Routing.Pipeline.Skipped
+    p.Routing.Pipeline.upper_gate
 
 (* ---------- engine pin: exact counts on one fixed instance ---------- *)
 
@@ -383,7 +417,13 @@ let () =
         [
           Alcotest.test_case "upper splice = centralized upper" `Quick
             test_build_scheme_matches_centralized_upper;
-          Alcotest.test_case "build_full end-to-end" `Quick test_build_full;
+          Alcotest.test_case "Pipeline.run end-to-end" `Quick
+            test_pipeline_end_to_end;
+        ] );
+      ( "pipeline",
+        [
+          Alcotest.test_case "per-stage gate verdicts (6x6 grid, k=3)" `Quick
+            test_stage_verdicts;
         ] );
       ( "engine",
         [ Alcotest.test_case "pinned counts (6x6 grid, k=3)" `Quick test_engine_pin ] );

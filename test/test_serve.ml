@@ -227,6 +227,55 @@ let test_sharded_failed_queries () =
         Alcotest.failf "failed-query run diverged at domains=%d" domains)
     [ 2; 3; 4 ]
 
+let test_same_outcome () =
+  (* Engine.same_outcome against the independent key above: blind to the
+     domain count, timings, cache counters and allocation bytes, sees every
+     other field, and NaN-safe *)
+  let g = Gen.grid ~rng:(rng 38) ~rows:6 ~cols:6 () in
+  let gr, _ = build ~seed:39 ~k:2 g in
+  let packed = Serve.Packed_router.of_graph_routing gr in
+  let queries =
+    Serve.Traffic.generate ~rng:(rng 40) Serve.Traffic.Uniform g ~queries:300
+  in
+  let st = Serve.Engine.run g packed queries in
+  let agree what expect st' =
+    Alcotest.(check bool) (what ^ ", independent key") expect
+      (compare (fingerprint st) (fingerprint st') = 0);
+    Alcotest.(check bool) (what ^ ", same_outcome") expect
+      (Serve.Engine.same_outcome st st')
+  in
+  agree "measurements differ" true
+    {
+      st with
+      Serve.Engine.domains = 4;
+      seconds = 1.0;
+      qps = 2.0;
+      eval_seconds = 3.0;
+      sp_hits = 5;
+      sp_misses = 6;
+      dijkstra_seconds = 7.0;
+      loop_alloc_bytes = 8.0;
+    };
+  agree "queries differ" false
+    { st with Serve.Engine.queries = st.Serve.Engine.queries + 1 };
+  agree "failed differs" false
+    { st with Serve.Engine.failed = st.Serve.Engine.failed + 1 };
+  agree "stretch differs" false
+    { st with Serve.Engine.stretch_max = st.Serve.Engine.stretch_max +. 1.0 };
+  agree "load differs" false
+    { st with Serve.Engine.base_max_load = st.Serve.Engine.base_max_load + 1 };
+  let all_failed =
+    {
+      st with
+      Serve.Engine.stretch_p50 = nan;
+      stretch_p95 = nan;
+      stretch_max = nan;
+      stretch_avg = nan;
+    }
+  in
+  Alcotest.(check bool) "NaN stretch fields equal themselves" true
+    (Serve.Engine.same_outcome all_failed all_failed)
+
 let test_forward_allocation_free () =
   (* the Gc-bracketed forwarding loops must allocate nothing at any domain
      count — the bracket itself boxes one float per domain, so allow a few
@@ -401,6 +450,8 @@ let () =
             test_sharded_bit_identity;
           Alcotest.test_case "typed errors identical across domains" `Quick
             test_sharded_failed_queries;
+          Alcotest.test_case "same_outcome = independent key" `Quick
+            test_same_outcome;
           Alcotest.test_case "forwarding loop allocation-free" `Quick
             test_forward_allocation_free;
           QCheck_alcotest.to_alcotest ~long:false prop_sharded_identity;
