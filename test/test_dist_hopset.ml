@@ -387,6 +387,72 @@ let test_engine_pin () =
   in
   check_pin "reliable" rel ~rounds:51893 ~messages:1844565 ~peak:660 ~phases
 
+(* Each phase's (name, rounds, peak words) on the pin instance, for the
+   exact stage and both upper-stage runs, over the raw transport and over
+   Reliable. The run-wide peaks above are set by one phase each (the
+   virtual wave, run B's top cluster phase), so only these catch a slip in
+   another phase's declared words. Peaks are the stage's own words, so
+   both transports read the same. *)
+let test_phase_pin () =
+  let g = Gen.grid ~rng:(rng 70) ~rows:6 ~cols:6 () in
+  let faults =
+    Congest.Fault.make
+      { Congest.Fault.none with seed = 5; drop = 0.1; duplicate = 0.05 }
+  in
+  let rows (c : Routing.Cost.t) =
+    List.map
+      (fun (p : Routing.Cost.phase) ->
+        Routing.Cost.(p.name, p.rounds, p.peak_memory))
+      (Routing.Cost.phases c)
+  in
+  let check what expected c =
+    Alcotest.(check (list (triple string int int))) what expected (rows c)
+  in
+  let exact_phases =
+    [
+      ("hierarchy sampling + BFS setup", 23, 20);
+      ("exact pivots level 1", 84, 20);
+      ("exact clusters level 0", 63, 50);
+      ("virtual edges (B-bounded wave)", 253, 98);
+    ]
+  in
+  let upper_phases =
+    [
+      ("hopset setup (BFS)", 23, 20);
+      ("hopset levels 1", 147, 20);
+      ("hopset levels 2", 189, 20);
+      ("hopset bunches level 0", 126, 76);
+      ("hopset bunches level 1", 168, 36);
+      ("hopset bunches level 2", 210, 36);
+      ("approx setup (BFS)", 23, 160);
+      ("approx pivots level 2", 1759, 244);
+      ("approx clusters level 1", 1897, 369);
+      ("approx clusters level 2", 2551, 620);
+    ]
+  in
+  let exact what (ds : Routing.Dist_scheme.outcome) =
+    if ds.Routing.Dist_scheme.failures <> [] then
+      fail_failures what ds.Routing.Dist_scheme.failures;
+    check (what ^ " phases") exact_phases
+      ds.Routing.Dist_scheme.exact.Routing.Scheme.Exact_stage.phases
+  in
+  let upper what (o : Routing.Dist_hopset.outcome) =
+    match o.Routing.Dist_hopset.upper with
+    | Some u -> check (what ^ " phases") upper_phases u.Routing.Scheme.Upper_stage.phases
+    | None -> fail_failures what o.Routing.Dist_hopset.failures
+  in
+  exact "exact raw"
+    (Routing.Dist_scheme.run ~rng:(rng 71) ~k:3 ~max_rounds:500_000 g);
+  exact "exact reliable"
+    (Routing.Dist_scheme.run ~rng:(rng 71) ~k:3 ~faults ~max_rounds:500_000 g);
+  let r = rng 71 in
+  let ds = Routing.Dist_scheme.run ~rng:r ~k:3 ~max_rounds:500_000 g in
+  upper "upper raw"
+    (Routing.Dist_hopset.run ~rng:(Random.State.copy r) ~max_rounds:500_000 g ds);
+  upper "upper reliable"
+    (Routing.Dist_hopset.run ~rng:(Random.State.copy r) ~faults
+       ~max_rounds:500_000 g ds)
+
 let qsuite name tests =
   (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -426,5 +492,8 @@ let () =
             test_stage_verdicts;
         ] );
       ( "engine",
-        [ Alcotest.test_case "pinned counts (6x6 grid, k=3)" `Quick test_engine_pin ] );
+        [
+          Alcotest.test_case "pinned counts (6x6 grid, k=3)" `Quick test_engine_pin;
+          Alcotest.test_case "per-phase pins (6x6 grid, k=3)" `Quick test_phase_pin;
+        ] );
     ]
