@@ -15,15 +15,18 @@
     Two {!Superstep} runs, the engine {!Dist_scheme} drives too:
 
     + {e run A (construction)} computes the wave fixpoints the hopset edge
-      list is a pure function of ({!Hopsets.Construct.fields}): one
-      lexicographic [(dist, src)] wave per hopset level, then one truncated
-      wave per bunch level with all owners of that level concurrent (a
-      vertex forwards an owner's entry only while it lies under the
-      vertex's own level field — the superclustering pruning rule). The
-      harvested fields feed the {e shared}
-      {!Hopsets.Construct.assemble}, so the distributed edge list is
-      bit-identical to {!Hopsets.Construct.tz_hopset} whenever the fields
-      are;
+      list is a pure function of ({!Hopsets.Construct.fields}). The hopset
+      is a Thorup–Zwick hierarchy on the virtual vertices, so these are
+      the exact stage's own waves ({!Dist_scheme.waves}) run on the hopset
+      levels: one lexicographic [(dist, src)] pivot wave per hopset level
+      [1..λ-1], then one cluster wave per bunch level [0..λ-1] with all
+      owners of that level concurrent (a vertex forwards an owner's entry
+      only while it lies under the vertex's own level field — the
+      superclustering pruning rule; the top level is unbounded). Every
+      reached entry is harvested, as in {!Hopsets.Construct.bunch_field}.
+      The fields feed the {e shared} {!Hopsets.Construct.assemble}, so the
+      distributed edge list is bit-identical to
+      {!Hopsets.Construct.tz_hopset} whenever the fields are;
     + {e run B (approximation)} executes, per high level, [β] iterations of
       {e [B]-budget host wave} then {e relay segment}: hopset-edge
       endpoints launch their post-wave values along the stored host paths
@@ -89,10 +92,7 @@ val run :
   ?params:Scheme.Params.t ->
   ?faults:Congest.Fault.t ->
   ?reliable:bool ->
-  ?config:Congest.Reliable.config ->
-  ?trace:Congest.Trace.t ->
   ?max_rounds:int ->
-  ?scheduler:Congest.Sim.scheduler ->
   ?domains:int ->
   Dgraph.Graph.t ->
   Dist_scheme.outcome ->
@@ -128,14 +128,9 @@ val check_against_centralized :
     estimates exactly checked and spot-checks the rest. *)
 
 val build_scheme :
-  rng:Random.State.t ->
-  ?trace:Congest.Trace.t ->
-  Dgraph.Graph.t ->
-  Dist_scheme.outcome ->
-  outcome ->
-  Scheme.t
+  rng:Random.State.t -> Dgraph.Graph.t -> Dist_scheme.outcome -> outcome -> Scheme.t
 (** Splice both protocol outcomes into the full scheme
     ({!Scheme.build_from_exact} with [?upper]): every construction phase of
-    the cost/trace now carries measured spans — nothing upper-stage remains
+    the cost now carries measured spans — nothing upper-stage remains
     Cost-charged-only. Parameters are pinned to what the protocols actually
     ran with ([b], [lambda], [beta], [epsilon]); [rng] is not consumed. *)

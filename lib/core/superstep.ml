@@ -20,20 +20,118 @@ let failure_to_string = function
 
 let pp_failure ppf f = Format.pp_print_string ppf (failure_to_string f)
 
-type control = Bfs | Bfs_adopt | Bfs_echo | Done | Advance | Next | Data
+type msg =
+  | Bfs of { depth : int }
+  | Bfs_adopt
+  | Bfs_echo
+  | Done of { sent : int }
+  | Advance
+  | Next
+  | Offer of { key : int; dist : float }
+  | Offer2 of { key : int; dist : float; origin : int }
+  | Relay of { key : int; edge : int; dir : int; value : float; origin : int }
+  | Rec_req of { key : int; edge : int; dir : int }
+  | Rec of { key : int; edge : int; dir : int; acc : float }
 
-module type MESSAGE = sig
-  include Congest.Sim.MESSAGE
+type t = msg
 
-  val control : t -> control
-  val control_arg : t -> int
-  val bfs : int -> t
-  val bfs_adopt : t
-  val bfs_echo : t
-  val done_ : int -> t
-  val advance : t
-  val next : t
+let words = function
+  | Bfs_adopt | Bfs_echo | Advance | Next -> 1
+  | Bfs _ | Done _ -> 2
+  | Offer _ -> 3
+  | Offer2 _ | Rec_req _ -> 4
+  | Rec _ -> 5
+  | Relay _ -> 6
+
+(* Slab codec: [tag; fields...], a float in two slots
+   ({!Congest.Slab.set_float}). The widest record is Relay: tag + key +
+   edge + dir + origin + value. *)
+module Sl = Congest.Slab
+
+let slots = 7
+
+let encode sl b = function
+  | Bfs { depth } ->
+    Sl.set sl b 0;
+    Sl.set sl (b + 1) depth
+  | Bfs_adopt -> Sl.set sl b 1
+  | Bfs_echo -> Sl.set sl b 2
+  | Done { sent } ->
+    Sl.set sl b 3;
+    Sl.set sl (b + 1) sent
+  | Advance -> Sl.set sl b 4
+  | Next -> Sl.set sl b 5
+  | Offer { key; dist } ->
+    Sl.set sl b 6;
+    Sl.set sl (b + 1) key;
+    Sl.set_float sl (b + 2) dist
+  | Offer2 { key; dist; origin } ->
+    Sl.set sl b 7;
+    Sl.set sl (b + 1) key;
+    Sl.set sl (b + 2) origin;
+    Sl.set_float sl (b + 3) dist
+  | Relay { key; edge; dir; value; origin } ->
+    Sl.set sl b 8;
+    Sl.set sl (b + 1) key;
+    Sl.set sl (b + 2) edge;
+    Sl.set sl (b + 3) dir;
+    Sl.set sl (b + 4) origin;
+    Sl.set_float sl (b + 5) value
+  | Rec_req { key; edge; dir } ->
+    Sl.set sl b 9;
+    Sl.set sl (b + 1) key;
+    Sl.set sl (b + 2) edge;
+    Sl.set sl (b + 3) dir
+  | Rec { key; edge; dir; acc } ->
+    Sl.set sl b 10;
+    Sl.set sl (b + 1) key;
+    Sl.set sl (b + 2) edge;
+    Sl.set sl (b + 3) dir;
+    Sl.set_float sl (b + 4) acc
+
+let decode sl b =
+  match Sl.get sl b with
+  | 0 -> Bfs { depth = Sl.get sl (b + 1) }
+  | 1 -> Bfs_adopt
+  | 2 -> Bfs_echo
+  | 3 -> Done { sent = Sl.get sl (b + 1) }
+  | 4 -> Advance
+  | 5 -> Next
+  | 6 -> Offer { key = Sl.get sl (b + 1); dist = Sl.get_float sl (b + 2) }
+  | 7 ->
+    Offer2
+      { key = Sl.get sl (b + 1); origin = Sl.get sl (b + 2); dist = Sl.get_float sl (b + 3) }
+  | 8 ->
+    Relay
+      {
+        key = Sl.get sl (b + 1);
+        edge = Sl.get sl (b + 2);
+        dir = Sl.get sl (b + 3);
+        origin = Sl.get sl (b + 4);
+        value = Sl.get_float sl (b + 5);
+      }
+  | 9 -> Rec_req { key = Sl.get sl (b + 1); edge = Sl.get sl (b + 2); dir = Sl.get sl (b + 3) }
+  | 10 ->
+    Rec
+      {
+        key = Sl.get sl (b + 1);
+        edge = Sl.get sl (b + 2);
+        dir = Sl.get sl (b + 3);
+        acc = Sl.get_float sl (b + 4);
+      }
+  | t -> invalid_arg (Printf.sprintf "Superstep: corrupt tag %d" t)
+
+module M = struct
+  type nonrec t = t
+
+  let words = words
+  let slots = slots
+  let encode = encode
+  let decode = decode
 end
+
+module S = Congest.Sim.Make (M)
+module R = Congest.Reliable.Make (M)
 
 type 'seg plan = {
   phases : int;
@@ -45,413 +143,407 @@ type 'seg plan = {
 
 type action = A_bfs_echo_check | A_decide | A_complete | A_watchdog
 
-module Make (M : MESSAGE) = struct
-  module S = Congest.Sim.Make (M)
-  module R = Congest.Reliable.Make (M)
+type 'seg ctx = {
+  me : int;
+  neighbors : int array;
+  weights : float array;
+  queues : msg Queue.t array;
+  mutable queued : int;
+  mutable own_sent : int;
+  mutable phase : int;
+  mutable seg : int;
+  mutable segs : 'seg array;
+  mutable ss_id : int;
+  mutable finished : bool;
+  fail_slots : failure list array;
+}
 
-  type 'seg ctx = {
-    me : int;
-    neighbors : int array;
-    weights : float array;
-    queues : M.t Queue.t array;
-    mutable queued : int;
-    mutable own_sent : int;
-    mutable phase : int;
-    mutable seg : int;
-    mutable segs : 'seg array;
-    mutable ss_id : int;
-    mutable finished : bool;
-    fail_slots : failure list array;
-  }
+let me c = c.me
+let neighbors c = c.neighbors
+let weights c = c.weights
+let phase c = c.phase
+let segment c = c.segs.(c.seg)
+let superstep_id c = c.ss_id
 
-  let me c = c.me
-  let neighbors c = c.neighbors
-  let weights c = c.weights
-  let phase c = c.phase
-  let segment c = c.segs.(c.seg)
-  let superstep_id c = c.ss_id
+let enqueue c p m =
+  Queue.add m c.queues.(p);
+  c.queued <- c.queued + 1;
+  c.own_sent <- c.own_sent + 1
 
-  let enqueue c p m =
-    Queue.add m c.queues.(p);
-    c.queued <- c.queued + 1;
-    c.own_sent <- c.own_sent + 1
+let enqueue_all c ~except m =
+  for p = 0 to Array.length c.neighbors - 1 do
+    if p <> except then enqueue c p m
+  done
 
-  let enqueue_all c ~except m =
-    for p = 0 to Array.length c.neighbors - 1 do
-      if p <> except then enqueue c p m
-    done
+let fail c f =
+  c.fail_slots.(c.me) <- f :: c.fail_slots.(c.me);
+  c.finished <- true
 
-  let fail c f =
-    c.fail_slots.(c.me) <- f :: c.fail_slots.(c.me);
-    c.finished <- true
+type hooks = {
+  seed : unit -> unit;
+  seg_start : unit -> unit;
+  snapshot : unit -> unit;
+  on_data : int -> msg -> unit;
+  finalize_seg : unit -> unit;
+  finalize_phase : unit -> unit;
+  words : unit -> int;
+}
 
-  type hooks = {
-    seed : unit -> unit;
-    seg_start : unit -> unit;
-    snapshot : unit -> unit;
-    on_data : int -> M.t -> unit;
-    finalize_seg : unit -> unit;
-    finalize_phase : unit -> unit;
-    words : unit -> int;
-  }
+type result = {
+  metrics : Congest.Metrics.t;
+  phases : Cost.phase list;
+  failures : failure list;
+}
 
-  type result = {
-    metrics : Congest.Metrics.t;
-    phases : Cost.phase list;
-    failures : failure list;
-  }
-
-  let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
-      ?max_rounds ?scheduler ?domains g =
-    let use_reliable =
-      match reliable with Some b -> b | None -> Option.is_some faults
+let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
+    ?max_rounds ?domains g =
+  let use_reliable =
+    match reliable with Some b -> b | None -> Option.is_some faults
+  in
+  let n = Graph.n g in
+  let n_phases = plan.phases in
+  (* Under Reliable a masked delivery may back off for a whole
+     retransmission streak before the link is declared dead, so the stall
+     interval must dominate that streak: shorter and a healthy faulted run
+     could trip the watchdog mid-backoff. Derived from the transport
+     config actually in use, not hardcoded. *)
+  let watchdog_interval =
+    let base = (4 * n) + 64 in
+    if use_reliable then
+      let cfg =
+        match config with Some c -> c | None -> Congest.Reliable.default_config
+      in
+      max base (Congest.Reliable.retransmission_budget cfg + 64)
+    else base
+  in
+  (* measured per-vertex words, max per phase (index = phase + 1); atomic
+     because every vertex maxes into the shared cells, under the
+     domain-sharded scheduler from different domains — CAS-max keeps the
+     result exact (max is commutative) without per-vertex storage *)
+  let phase_peak = Array.init (n_phases + 1) (fun _ -> Atomic.make 0) in
+  let rec peak_max cell v =
+    let cur = Atomic.get cell in
+    if v > cur && not (Atomic.compare_and_set cell cur v) then peak_max cell v
+  in
+  (* (phase, rounds), newest first; written by the root only *)
+  let marks = ref [] in
+  (* one failure slot per vertex: a single writer each *)
+  let fail_slots = Array.make n [] in
+  let node ((module T) : (module Congest.Sim.TRANSPORT with type msg = msg))
+      ~me ~neighbors ~weights =
+    let deg = Array.length neighbors in
+    let is_root = me = 0 in
+    let c =
+      {
+        me;
+        neighbors;
+        weights;
+        queues = Array.init (max 1 deg) (fun _ -> Queue.create ());
+        queued = 0;
+        own_sent = 0;
+        phase = -1;
+        seg = 0;
+        segs = [||];
+        ss_id = 0;
+        finished = false;
+        fail_slots;
+      }
     in
-    let n = Graph.n g in
-    let n_phases = plan.phases in
-    (* Under Reliable a masked delivery may back off for a whole
-       retransmission streak before the link is declared dead, so the stall
-       interval must dominate that streak: shorter and a healthy faulted run
-       could trip the watchdog mid-backoff. Derived from the transport
-       config actually in use, not hardcoded. *)
-    let watchdog_interval =
-      let base = (4 * n) + 64 in
-      if use_reliable then
-        let cfg =
-          match config with Some c -> c | None -> Congest.Reliable.default_config
-        in
-        max base (Congest.Reliable.retransmission_budget cfg + 64)
-      else base
+    let h = vertex c in
+    let root_trace f = if is_root then Option.iter f trace in
+    let phase_trace p = root_trace (fun tr -> Congest.Trace.phase tr (plan.name p)) in
+    let phase_trace_end () = root_trace Congest.Trace.phase_end in
+    (* ---- BFS setup state ---- *)
+    let bfs_parent_port = ref (-1)
+    and bfs_children = ref 0
+    and echoes = ref 0 in
+    let is_child = Array.make (max 1 deg) false in
+    (* ---- barrier state ---- *)
+    let superstep = ref 0
+    and in_superstep = ref false
+    and done_sent = ref false
+    and done_children = ref 0
+    and children_sent = ref 0
+    and phase_start = ref 0
+    and last_drain = ref (-1)
+    and last_progress = ref 0 in
+    let agenda = ref [] in
+    let schedule r a =
+      let rec ins = function
+        | [] -> [ (r, a) ]
+        | (r', _) :: _ as l when r < r' -> (r, a) :: l
+        | x :: rest -> x :: ins rest
+      in
+      agenda := ins !agenda
     in
-    (* measured per-vertex words, max per phase (index = phase + 1); atomic
-       because every vertex maxes into the shared cells, under the
-       domain-sharded scheduler from different domains — CAS-max keeps the
-       result exact (max is commutative) without per-vertex storage *)
-    let phase_peak = Array.init (n_phases + 1) (fun _ -> Atomic.make 0) in
-    let rec peak_max cell v =
-      let cur = Atomic.get cell in
-      if v > cur && not (Atomic.compare_and_set cell cur v) then peak_max cell v
+    (* control messages share edges with data; every send is tallied per
+       port so nothing exceeds the run's edge capacity of 2 *)
+    let ctrl_round = ref (-1) in
+    let ctrl = Array.make (max 1 deg) 0 in
+    let note_send p =
+      if !ctrl_round <> T.round () then begin
+        ctrl_round := T.round ();
+        Array.fill ctrl 0 (Array.length ctrl) 0
+      end;
+      ctrl.(p) <- ctrl.(p) + 1
     in
-    (* (phase, rounds), newest first; written by the root only *)
-    let marks = ref [] in
-    (* one failure slot per vertex: a single writer each *)
-    let fail_slots = Array.make n [] in
-    let node ((module T) : (module Congest.Sim.TRANSPORT with type msg = M.t))
-        ~me ~neighbors ~weights =
-      let deg = Array.length neighbors in
-      let is_root = me = 0 in
-      let c =
-        {
-          me;
-          neighbors;
-          weights;
-          queues = Array.init (max 1 deg) (fun _ -> Queue.create ());
-          queued = 0;
-          own_sent = 0;
-          phase = -1;
-          seg = 0;
-          segs = [||];
-          ss_id = 0;
-          finished = false;
-          fail_slots;
-        }
-      in
-      let h = vertex c in
-      let root_trace f = if is_root then Option.iter f trace in
-      let phase_trace p = root_trace (fun tr -> Congest.Trace.phase tr (plan.name p)) in
-      let phase_trace_end () = root_trace Congest.Trace.phase_end in
-      (* ---- BFS setup state ---- *)
-      let bfs_parent_port = ref (-1)
-      and bfs_children = ref 0
-      and echoes = ref 0 in
-      let is_child = Array.make (max 1 deg) false in
-      (* ---- barrier state ---- *)
-      let superstep = ref 0
-      and in_superstep = ref false
-      and done_sent = ref false
-      and done_children = ref 0
-      and children_sent = ref 0
-      and phase_start = ref 0
-      and last_drain = ref (-1)
-      and last_progress = ref 0 in
-      let agenda = ref [] in
-      let schedule r a =
-        let rec ins = function
-          | [] -> [ (r, a) ]
-          | (r', _) :: _ as l when r < r' -> (r, a) :: l
-          | x :: rest -> x :: ins rest
-        in
-        agenda := ins !agenda
-      in
-      (* control messages share edges with data; every send is tallied per
-         port so nothing exceeds the run's edge capacity of 2 *)
-      let ctrl_round = ref (-1) in
-      let ctrl = Array.make (max 1 deg) 0 in
-      let note_send p =
-        if !ctrl_round <> T.round () then begin
-          ctrl_round := T.round ();
-          Array.fill ctrl 0 (Array.length ctrl) 0
-        end;
-        ctrl.(p) <- ctrl.(p) + 1
-      in
-      let port_used p = if !ctrl_round = T.round () then ctrl.(p) else 0 in
-      let send_ctrl p m =
-        note_send p;
-        T.send p m
-      in
-      let bc_down m =
-        for p = 0 to deg - 1 do
-          if is_child.(p) then send_ctrl p m
-        done
-      in
-      let update_mem () =
-        let words = h.words () + (2 * c.queued) in
-        T.set_memory words;
-        peak_max phase_peak.(min n_phases (c.phase + 1)) words
-      in
-      let snapshot () =
-        in_superstep := true;
-        done_sent := false;
-        done_children := 0;
-        children_sent := 0;
-        c.own_sent <- 0;
-        c.ss_id <- c.ss_id + 1;
-        h.snapshot ()
-      in
-      let open_phase () =
-        c.phase <- c.phase + 1;
-        c.seg <- 0;
+    let port_used p = if !ctrl_round = T.round () then ctrl.(p) else 0 in
+    let send_ctrl p m =
+      note_send p;
+      T.send p m
+    in
+    let bc_down m =
+      for p = 0 to deg - 1 do
+        if is_child.(p) then send_ctrl p m
+      done
+    in
+    let update_mem () =
+      let words = h.words () + (2 * c.queued) in
+      T.set_memory words;
+      peak_max phase_peak.(min n_phases (c.phase + 1)) words
+    in
+    let snapshot () =
+      in_superstep := true;
+      done_sent := false;
+      done_children := 0;
+      children_sent := 0;
+      c.own_sent <- 0;
+      c.ss_id <- c.ss_id + 1;
+      h.snapshot ()
+    in
+    let open_phase () =
+      c.phase <- c.phase + 1;
+      c.seg <- 0;
+      superstep := 0;
+      if c.phase >= n_phases then begin
+        c.finished <- true;
+        phase_trace_end ()
+      end
+      else begin
+        phase_trace c.phase;
+        if is_root then phase_start := T.round ();
+        c.segs <- plan.segments c.phase;
+        h.seed ();
+        h.seg_start ();
+        snapshot ()
+      end
+    in
+    let on_next () =
+      if c.phase < 0 then begin
+        phase_trace_end ();
+        open_phase ()
+      end
+      else begin
+        h.finalize_seg ();
+        c.seg <- c.seg + 1;
         superstep := 0;
-        if c.phase >= n_phases then begin
-          c.finished <- true;
-          phase_trace_end ()
-        end
-        else begin
-          phase_trace c.phase;
-          if is_root then phase_start := T.round ();
-          c.segs <- plan.segments c.phase;
-          h.seed ();
-          h.seg_start ();
-          snapshot ()
-        end
-      in
-      let on_next () =
-        if c.phase < 0 then begin
-          phase_trace_end ();
+        if c.seg >= Array.length c.segs then begin
+          h.finalize_phase ();
           open_phase ()
         end
         else begin
-          h.finalize_seg ();
-          c.seg <- c.seg + 1;
-          superstep := 0;
-          if c.seg >= Array.length c.segs then begin
-            h.finalize_phase ();
-            open_phase ()
-          end
-          else begin
-            h.seg_start ();
-            snapshot ()
-          end
-        end
-      in
-      let echo_up () =
-        if not is_root then send_ctrl !bfs_parent_port M.bfs_echo
-        else begin
-          (* setup complete at the root: record its span, open phase 0 *)
-          marks := (-1, T.round ()) :: !marks;
-          bc_down M.next;
-          on_next ()
-        end
-      in
-      let maybe_complete () =
-        if
-          !in_superstep && (not !done_sent) && c.queued = 0
-          && !done_children = !bfs_children
-        then begin
-          if is_root then begin
-            done_sent := true;
-            (* the one-round deferral of the first timing invariant *)
-            schedule (T.round () + 1) A_decide
-          end
-          else if port_used !bfs_parent_port < 2 then begin
-            done_sent := true;
-            in_superstep := false;
-            send_ctrl !bfs_parent_port (M.done_ (c.own_sent + !children_sent))
-          end
-          else
-            (* parent edge is at capacity this round (the drain just emptied
-               the queue into it) - send Done next round *)
-            schedule (T.round () + 1) A_complete
-        end
-      in
-      let on_control port m = function
-        | Bfs when !bfs_parent_port < 0 && not is_root ->
-          bfs_parent_port := port;
-          send_ctrl port M.bfs_adopt;
-          let depth = M.control_arg m + 1 in
-          for p = 0 to deg - 1 do
-            if p <> port then send_ctrl p (M.bfs depth)
-          done;
-          schedule (T.round () + 3) A_bfs_echo_check
-        | Bfs_adopt ->
-          incr bfs_children;
-          is_child.(port) <- true
-        | Bfs_echo ->
-          incr echoes;
-          if !echoes = !bfs_children then echo_up ()
-        | Done ->
-          incr done_children;
-          children_sent := !children_sent + M.control_arg m
-        | Advance when port = !bfs_parent_port ->
-          bc_down M.advance;
-          incr superstep;
+          h.seg_start ();
           snapshot ()
-        | Next when port = !bfs_parent_port ->
-          bc_down M.next;
-          on_next ()
-        | Bfs | Advance | Next | Data -> ()
-      in
-      let run_action = function
-        | A_bfs_echo_check -> if !bfs_children = 0 then echo_up ()
-        | A_decide ->
-          let total = c.own_sent + !children_sent in
-          incr superstep;
-          if total = 0 || !superstep >= plan.budget c.segs.(c.seg) then begin
-            if c.seg = Array.length c.segs - 1 then
-              marks := (c.phase, T.round () - !phase_start) :: !marks;
-            bc_down M.next;
-            on_next ()
-          end
-          else begin
-            bc_down M.advance;
-            snapshot ()
-          end
-        | A_complete -> maybe_complete ()
-        | A_watchdog ->
-          (* Typed-failure path under crash-stop faults: a vertex that has
-             neither received a message nor advanced a barrier for a whole
-             interval declares the stage wedged instead of hanging forever.
-             The interval dominates any legal barrier span (a superstep
-             drains at most ~n/2 rounds per port), so a healthy run never
-             trips it. *)
-          if not c.finished then begin
-            if T.round () - !last_progress >= watchdog_interval then
-              fail c
-                (if c.phase < 0 then Setup_timeout { vertex = me; round = T.round () }
-                 else
-                   Stalled
-                     {
-                       vertex = me;
-                       round = T.round ();
-                       phase = plan.name c.phase;
-                       superstep = !superstep;
-                     })
-            else schedule (T.round () + watchdog_interval) A_watchdog
-          end
-      in
-      let drain () =
-        let r = T.round () in
-        if !last_drain < r then begin
-          last_drain := r;
-          for p = 0 to deg - 1 do
-            let budget = ref (2 - port_used p) in
-            while !budget > 0 && not (Queue.is_empty c.queues.(p)) do
-              let m = Queue.pop c.queues.(p) in
-              c.queued <- c.queued - 1;
-              decr budget;
-              note_send p;
-              T.send p m
-            done
-          done
         end
-      in
-      let dead_seen = ref [] in
-      let check_dead () =
-        List.iter
-          (fun (p, why) ->
-            if not (List.mem p !dead_seen) then begin
-              dead_seen := p :: !dead_seen;
-              (* every edge carries wave data: any dead link breaks the stage *)
-              fail c (Link_lost { vertex = me; neighbor = neighbors.(p); reason = why })
-            end)
-          (T.dead_ports ())
-      in
-      (* round 0: BFS flood from the root *)
-      phase_trace (-1);
-      if is_root then begin
+      end
+    in
+    let echo_up () =
+      if not is_root then send_ctrl !bfs_parent_port Bfs_echo
+      else begin
+        (* setup complete at the root: record its span, open phase 0 *)
+        marks := (-1, T.round ()) :: !marks;
+        bc_down Next;
+        on_next ()
+      end
+    in
+    let maybe_complete () =
+      if
+        !in_superstep && (not !done_sent) && c.queued = 0
+        && !done_children = !bfs_children
+      then begin
+        if is_root then begin
+          done_sent := true;
+          (* the one-round deferral of the first timing invariant *)
+          schedule (T.round () + 1) A_decide
+        end
+        else if port_used !bfs_parent_port < 2 then begin
+          done_sent := true;
+          in_superstep := false;
+          send_ctrl !bfs_parent_port (Done { sent = c.own_sent + !children_sent })
+        end
+        else
+          (* parent edge is at capacity this round (the drain just emptied
+             the queue into it) - send Done next round *)
+          schedule (T.round () + 1) A_complete
+      end
+    in
+    let on_control port = function
+      | Bfs { depth } when !bfs_parent_port < 0 && not is_root ->
+        bfs_parent_port := port;
+        send_ctrl port Bfs_adopt;
         for p = 0 to deg - 1 do
-          send_ctrl p (M.bfs 0)
+          if p <> port then send_ctrl p (Bfs { depth = depth + 1 })
         done;
-        schedule 3 A_bfs_echo_check
-      end;
-      schedule watchdog_interval A_watchdog;
-      update_mem ();
-      let rec loop () =
-        if not c.finished then begin
-          let dl = match !agenda with [] -> max_int | (r, _) :: _ -> r in
-          let dl = if c.queued > 0 then min dl (T.round () + 1) else dl in
-          let inbox = if dl = max_int then T.wait () else T.wait_until dl in
-          if inbox <> [] then last_progress := T.round ();
-          (* control first: the second timing invariant *)
-          List.iter
-            (fun (p, m) ->
-              match M.control m with Data -> () | k -> on_control p m k)
-            inbox;
-          List.iter
-            (fun (p, m) -> match M.control m with Data -> h.on_data p m | _ -> ())
-            inbox;
-          check_dead ();
-          let rec run_due () =
-            match !agenda with
-            | (r, a) :: rest when r <= T.round () ->
-              agenda := rest;
-              run_action a;
-              run_due ()
-            | _ -> ()
-          in
-          run_due ();
-          if not c.finished then begin
-            drain ();
-            maybe_complete ();
-            update_mem ();
-            loop ()
-          end
+        schedule (T.round () + 3) A_bfs_echo_check
+      | Bfs_adopt ->
+        incr bfs_children;
+        is_child.(port) <- true
+      | Bfs_echo ->
+        incr echoes;
+        if !echoes = !bfs_children then echo_up ()
+      | Done { sent } ->
+        incr done_children;
+        children_sent := !children_sent + sent
+      | Advance when port = !bfs_parent_port ->
+        bc_down Advance;
+        incr superstep;
+        snapshot ()
+      | Next when port = !bfs_parent_port ->
+        bc_down Next;
+        on_next ()
+      | Bfs _ | Advance | Next | Offer _ | Offer2 _ | Relay _ | Rec_req _ | Rec _ -> ()
+    in
+    let run_action = function
+      | A_bfs_echo_check -> if !bfs_children = 0 then echo_up ()
+      | A_decide ->
+        let total = c.own_sent + !children_sent in
+        incr superstep;
+        if total = 0 || !superstep >= plan.budget c.segs.(c.seg) then begin
+          if c.seg = Array.length c.segs - 1 then
+            marks := (c.phase, T.round () - !phase_start) :: !marks;
+          bc_down Next;
+          on_next ()
         end
-      in
-      loop ()
+        else begin
+          bc_down Advance;
+          snapshot ()
+        end
+      | A_complete -> maybe_complete ()
+      | A_watchdog ->
+        (* Typed-failure path under crash-stop faults: a vertex that has
+           neither received a message nor advanced a barrier for a whole
+           interval declares the stage wedged instead of hanging forever.
+           The interval dominates any legal barrier span (a superstep
+           drains at most ~n/2 rounds per port), so a healthy run never
+           trips it. *)
+        if not c.finished then begin
+          if T.round () - !last_progress >= watchdog_interval then
+            fail c
+              (if c.phase < 0 then Setup_timeout { vertex = me; round = T.round () }
+               else
+                 Stalled
+                   {
+                     vertex = me;
+                     round = T.round ();
+                     phase = plan.name c.phase;
+                     superstep = !superstep;
+                   })
+          else schedule (T.round () + watchdog_interval) A_watchdog
+        end
     in
-    let report =
-      if use_reliable then
-        R.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?scheduler ?domains
-          ?config g
-          ~node:(fun t (rc : R.ctx) ->
-            node t ~me:rc.R.me ~neighbors:rc.R.neighbors ~weights:rc.R.weights)
-      else
-        S.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?scheduler ?domains g
-          ~node:(fun (sc : S.ctx) ->
-            node
-              (module S.Transport : Congest.Sim.TRANSPORT with type msg = M.t)
-              ~me:sc.S.me ~neighbors:sc.S.neighbors ~weights:sc.S.weights)
+    let drain () =
+      let r = T.round () in
+      if !last_drain < r then begin
+        last_drain := r;
+        for p = 0 to deg - 1 do
+          let budget = ref (2 - port_used p) in
+          while !budget > 0 && not (Queue.is_empty c.queues.(p)) do
+            let m = Queue.pop c.queues.(p) in
+            c.queued <- c.queued - 1;
+            decr budget;
+            note_send p;
+            T.send p m
+          done
+        done
+      end
     in
-    let transport =
-      match report.Congest.Sim.outcome with
-      | Congest.Sim.Completed -> []
-      | Congest.Sim.Deadlocked _ as oc ->
-        [ Transport (Format.asprintf "%a" Congest.Sim.pp_outcome oc) ]
-      | Congest.Sim.Round_limit -> [ Transport "round limit exceeded" ]
+    let dead_seen = ref [] in
+    let check_dead () =
+      List.iter
+        (fun (p, why) ->
+          if not (List.mem p !dead_seen) then begin
+            dead_seen := p :: !dead_seen;
+            (* every edge carries wave data: any dead link breaks the stage *)
+            fail c (Link_lost { vertex = me; neighbor = neighbors.(p); reason = why })
+          end)
+        (T.dead_ports ())
     in
-    {
-      metrics = report.Congest.Sim.metrics;
-      phases =
-        List.rev_map
-          (fun (p, rounds) ->
-            {
-              Cost.name = plan.name p;
-              detail = plan.detail p;
-              rounds;
-              peak_memory = Atomic.get phase_peak.(p + 1);
-            })
-          !marks;
-      failures =
-        transport @ Array.fold_right (fun fs acc -> List.rev_append fs acc) fail_slots [];
-    }
-end
+    (* round 0: BFS flood from the root *)
+    phase_trace (-1);
+    if is_root then begin
+      for p = 0 to deg - 1 do
+        send_ctrl p (Bfs { depth = 0 })
+      done;
+      schedule 3 A_bfs_echo_check
+    end;
+    schedule watchdog_interval A_watchdog;
+    update_mem ();
+    let rec loop () =
+      if not c.finished then begin
+        let dl = match !agenda with [] -> max_int | (r, _) :: _ -> r in
+        let dl = if c.queued > 0 then min dl (T.round () + 1) else dl in
+        let inbox = if dl = max_int then T.wait () else T.wait_until dl in
+        if inbox <> [] then last_progress := T.round ();
+        (* control first: the second timing invariant *)
+        List.iter (fun (p, m) -> on_control p m) inbox;
+        List.iter
+          (fun (p, m) ->
+            match m with
+            | Bfs _ | Bfs_adopt | Bfs_echo | Done _ | Advance | Next -> ()
+            | Offer _ | Offer2 _ | Relay _ | Rec_req _ | Rec _ -> h.on_data p m)
+          inbox;
+        check_dead ();
+        let rec run_due () =
+          match !agenda with
+          | (r, a) :: rest when r <= T.round () ->
+            agenda := rest;
+            run_action a;
+            run_due ()
+          | _ -> ()
+        in
+        run_due ();
+        if not c.finished then begin
+          drain ();
+          maybe_complete ();
+          update_mem ();
+          loop ()
+        end
+      end
+    in
+    loop ()
+  in
+  let report =
+    if use_reliable then
+      R.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?domains
+        ?config g
+        ~node:(fun t (rc : R.ctx) ->
+          node t ~me:rc.R.me ~neighbors:rc.R.neighbors ~weights:rc.R.weights)
+    else
+      S.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?domains g
+        ~node:(fun (sc : S.ctx) ->
+          node
+            (module S.Transport : Congest.Sim.TRANSPORT with type msg = msg)
+            ~me:sc.S.me ~neighbors:sc.S.neighbors ~weights:sc.S.weights)
+  in
+  let transport =
+    match report.Congest.Sim.outcome with
+    | Congest.Sim.Completed -> []
+    | Congest.Sim.Deadlocked _ as oc ->
+      [ Transport (Format.asprintf "%a" Congest.Sim.pp_outcome oc) ]
+    | Congest.Sim.Round_limit -> [ Transport "round limit exceeded" ]
+  in
+  {
+    metrics = report.Congest.Sim.metrics;
+    phases =
+      List.rev_map
+        (fun (p, rounds) ->
+          {
+            Cost.name = plan.name p;
+            detail = plan.detail p;
+            rounds;
+            peak_memory = Atomic.get phase_peak.(p + 1);
+          })
+        !marks;
+    failures =
+      transport @ Array.fold_right (fun fs acc -> List.rev_append fs acc) fail_slots [];
+  }

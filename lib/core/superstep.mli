@@ -1,14 +1,16 @@
-(** The superstep engine behind Appendix B's distributed stages.
+(** The superstep engine behind Appendix B's distributed stages, and the
+    one wire type they share.
 
     {!Dist_scheme} and {!Dist_hopset} both run root-synchronized
     Bellman–Ford phases over one BFS tree rooted at vertex 0. This engine
-    owns everything but the waves: the BFS setup and its echo, the
-    Done/Advance/Next barrier (a phase is a sequence of segments, a segment
-    a sequence of supersteps the root cuts on quiescence or at its budget),
-    the per-port data queues drained within edge capacity 2 after control
-    traffic, the watchdog and typed failures, the per-phase memory peaks,
-    the measured phase spans and the choice of transport. A stage supplies
-    a {!plan} and, per vertex, a {!Make.hooks} record.
+    owns everything but the waves: the message type {!msg} with its codec,
+    the BFS setup and its echo, the Done/Advance/Next barrier (a phase is a
+    sequence of segments, a segment a sequence of supersteps the root cuts
+    on quiescence or at its budget), the per-port data queues drained
+    within edge capacity 2 after control traffic, the watchdog and typed
+    failures, the per-phase memory peaks, the measured phase spans and the
+    choice of transport. A stage supplies a {!plan} and, per vertex, a
+    {!hooks} record.
 
     Two timing invariants make phase and superstep tags unnecessary on
     data: the root defers each end-of-superstep decision by one round, so
@@ -36,26 +38,33 @@ type failure =
 val failure_to_string : failure -> string
 val pp_failure : Format.formatter -> failure -> unit
 
-(** How the engine reads a message: one of its control messages, or stage
-    data for {!Make.hooks}[.on_data]. *)
-type control = Bfs | Bfs_adopt | Bfs_echo | Done | Advance | Next | Data
+(** The wire type of the distributed construction. The first six
+    constructors are the engine's control traffic; the rest are stage
+    data, handed unwrapped to {!hooks}[.on_data]. *)
+type msg =
+  | Bfs of { depth : int }  (** setup flood: the sender's BFS depth *)
+  | Bfs_adopt  (** setup: the sender chose this vertex as its parent *)
+  | Bfs_echo  (** setup: the sender's subtree is complete *)
+  | Done of { sent : int }
+      (** convergecast: data messages the sender's subtree sent in this
+          superstep *)
+  | Advance  (** broadcast: open the next superstep of this segment *)
+  | Next  (** broadcast: close the segment, open the next one or phase *)
+  | Offer of { key : int; dist : float }
+      (** a wave entry: its source or owner and the sender's distance *)
+  | Offer2 of { key : int; dist : float; origin : int }
+      (** a run-B wave entry with its attributed origin *)
+  | Relay of { key : int; edge : int; dir : int; value : float; origin : int }
+      (** run B: an endpoint's value travelling one hop along a hopset
+          edge's host path *)
+  | Rec_req of { key : int; edge : int; dir : int }
+      (** run B: recovery trigger walking back to the feeding endpoint *)
+  | Rec of { key : int; edge : int; dir : int; acc : float }
+      (** run B: recovery walk accumulating the host-path distance *)
 
-(** A stage's own message type, with its control constructors. *)
-module type MESSAGE = sig
-  include Congest.Sim.MESSAGE
-
-  val control : t -> control
-
-  val control_arg : t -> int
-  (** The depth a [Bfs] carries, the data count a [Done] carries. *)
-
-  val bfs : int -> t
-  val bfs_adopt : t
-  val bfs_echo : t
-  val done_ : int -> t
-  val advance : t
-  val next : t
-end
+include Congest.Sim.MESSAGE with type t = msg
+(** [words] is the accounted CONGEST size (at most 6); [slots] is 7, the
+    widest record ([Relay]: tag, four ints, a float in two slots). *)
 
 type 'seg plan = {
   phases : int;
@@ -65,60 +74,57 @@ type 'seg plan = {
   detail : int -> string;
 }
 
-module Make (M : MESSAGE) : sig
-  type 'seg ctx
-  (** One vertex's side of the engine. *)
+type 'seg ctx
+(** One vertex's side of the engine. *)
 
-  val me : 'seg ctx -> int
-  val neighbors : 'seg ctx -> int array
-  val weights : 'seg ctx -> float array
-  val phase : 'seg ctx -> int
-  val segment : 'seg ctx -> 'seg
+val me : 'seg ctx -> int
+val neighbors : 'seg ctx -> int array
+val weights : 'seg ctx -> float array
+val phase : 'seg ctx -> int
+val segment : 'seg ctx -> 'seg
 
-  val superstep_id : 'seg ctx -> int
-  (** Increases at every barrier snapshot. *)
+val superstep_id : 'seg ctx -> int
+(** Increases at every barrier snapshot. *)
 
-  val enqueue : 'seg ctx -> int -> M.t -> unit
-  (** Queue data on one port; counted as sent in this superstep. *)
+val enqueue : 'seg ctx -> int -> msg -> unit
+(** Queue data on one port; counted as sent in this superstep. *)
 
-  val enqueue_all : 'seg ctx -> except:int -> M.t -> unit
+val enqueue_all : 'seg ctx -> except:int -> msg -> unit
 
-  val fail : 'seg ctx -> failure -> unit
-  (** Report a failure at this vertex and stop it. *)
+val fail : 'seg ctx -> failure -> unit
+(** Report a failure at this vertex and stop it. *)
 
-  type hooks = {
-    seed : unit -> unit;  (** a phase opens: plant this vertex's sources *)
-    seg_start : unit -> unit;  (** a segment opens (after [seed]) *)
-    snapshot : unit -> unit;  (** a superstep opens: queue its data *)
-    on_data : int -> M.t -> unit;  (** data arrived on a port *)
-    finalize_seg : unit -> unit;  (** a segment closed *)
-    finalize_phase : unit -> unit;  (** a phase closed: deposit results *)
-    words : unit -> int;
-        (** the stage's state in words; the engine adds 2 per queued
-            message and declares the sum as the vertex's memory *)
-  }
+type hooks = {
+  seed : unit -> unit;  (** a phase opens: plant this vertex's sources *)
+  seg_start : unit -> unit;  (** a segment opens (after [seed]) *)
+  snapshot : unit -> unit;  (** a superstep opens: queue its data *)
+  on_data : int -> msg -> unit;  (** data arrived on a port *)
+  finalize_seg : unit -> unit;  (** a segment closed *)
+  finalize_phase : unit -> unit;  (** a phase closed: deposit results *)
+  words : unit -> int;
+      (** the stage's state in words; the engine adds 2 per queued
+          message and declares the sum as the vertex's memory *)
+}
 
-  type result = {
-    metrics : Congest.Metrics.t;
-    phases : Cost.phase list;
-        (** setup first: measured rounds (virtual over {!Congest.Reliable})
-            and the peak words of any vertex *)
-    failures : failure list;  (** the transport's, then per vertex by id *)
-  }
+type result = {
+  metrics : Congest.Metrics.t;
+  phases : Cost.phase list;
+      (** setup first: measured rounds (virtual over {!Congest.Reliable})
+          and the peak words of any vertex *)
+  failures : failure list;  (** the transport's, then per vertex by id *)
+}
 
-  val run :
-    plan:'seg plan ->
-    vertex:('seg ctx -> hooks) ->
-    ?faults:Congest.Fault.t ->
-    ?reliable:bool ->
-    ?config:Congest.Reliable.config ->
-    ?trace:Congest.Trace.t ->
-    ?max_rounds:int ->
-    ?scheduler:Congest.Sim.scheduler ->
-    ?domains:int ->
-    Dgraph.Graph.t ->
-    result
-  (** The stage's own options, forwarded: [?reliable] defaults to
-      {!Congest.Reliable} iff [?faults] is given; [?trace] receives the
-      root's phase spans. *)
-end
+val run :
+  plan:'seg plan ->
+  vertex:('seg ctx -> hooks) ->
+  ?faults:Congest.Fault.t ->
+  ?reliable:bool ->
+  ?config:Congest.Reliable.config ->
+  ?trace:Congest.Trace.t ->
+  ?max_rounds:int ->
+  ?domains:int ->
+  Dgraph.Graph.t ->
+  result
+(** The stage's own options, forwarded: [?reliable] defaults to
+    {!Congest.Reliable} iff [?faults] is given; [?trace] receives the
+    root's phase spans. *)

@@ -400,6 +400,76 @@ let test_engine_pin_fault_mix () =
     |]
     m.Congest.Metrics.peak_memory
 
+(* ---------- the wire codec ---------- *)
+
+(* A message with its floats shown by their bits, so NaN payloads, -0.0
+   and subnormals compare exactly. *)
+let view =
+  let bits x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  function
+  | Routing.Superstep.Bfs { depth } -> Printf.sprintf "Bfs %d" depth
+  | Bfs_adopt -> "Bfs_adopt"
+  | Bfs_echo -> "Bfs_echo"
+  | Done { sent } -> Printf.sprintf "Done %d" sent
+  | Advance -> "Advance"
+  | Next -> "Next"
+  | Offer { key; dist } -> Printf.sprintf "Offer %d %s" key (bits dist)
+  | Offer2 { key; dist; origin } ->
+    Printf.sprintf "Offer2 %d %s %d" key (bits dist) origin
+  | Relay { key; edge; dir; value; origin } ->
+    Printf.sprintf "Relay %d %d %d %s %d" key edge dir (bits value) origin
+  | Rec_req { key; edge; dir } -> Printf.sprintf "Rec_req %d %d %d" key edge dir
+  | Rec { key; edge; dir; acc } ->
+    Printf.sprintf "Rec %d %d %d %s" key edge dir (bits acc)
+
+let gen_msg =
+  let open QCheck.Gen in
+  let int = oneof [ int; oneofl [ 0; -1; max_int; min_int ] ] in
+  let float =
+    oneof
+      [
+        float;
+        map Int64.float_of_bits int64;
+        oneofl
+          [ infinity; neg_infinity; nan; -.nan; -0.0; 5e-324; -2.2e-308; max_float ];
+      ]
+  in
+  oneof
+    [
+      map (fun depth -> Routing.Superstep.Bfs { depth }) int;
+      pure Routing.Superstep.Bfs_adopt;
+      pure Routing.Superstep.Bfs_echo;
+      map (fun sent -> Routing.Superstep.Done { sent }) int;
+      pure Routing.Superstep.Advance;
+      pure Routing.Superstep.Next;
+      map2 (fun key dist -> Routing.Superstep.Offer { key; dist }) int float;
+      map3
+        (fun key dist origin -> Routing.Superstep.Offer2 { key; dist; origin })
+        int float int;
+      (fun st ->
+        let key = int st and edge = int st and dir = int st in
+        Routing.Superstep.Relay { key; edge; dir; value = float st; origin = int st });
+      map3 (fun key edge dir -> Routing.Superstep.Rec_req { key; edge; dir }) int int int;
+      (fun st ->
+        let key = int st and edge = int st and dir = int st in
+        Routing.Superstep.Rec { key; edge; dir; acc = float st });
+    ]
+
+(* decode (encode m) = m for every constructor, at an arbitrary base, with
+   the slot just past [slots] left untouched and at most 8 words accounted *)
+let prop_codec_roundtrip =
+  QCheck.Test.make ~count:2000 ~name:"wire codec round-trips every constructor"
+    QCheck.(pair (make ~print:view gen_msg) (int_bound 9))
+    (fun (m, base) ->
+      let sl = Congest.Slab.create () in
+      let b = Congest.Slab.alloc sl (base + Routing.Superstep.slots + 1) + base in
+      let guard = b + Routing.Superstep.slots in
+      Congest.Slab.set sl guard 0x5eed;
+      Routing.Superstep.encode sl b m;
+      view (Routing.Superstep.decode sl b) = view m
+      && Congest.Slab.get sl guard = 0x5eed
+      && Routing.Superstep.words m <= 8)
+
 (* ---------- watchdog: setup never completes ---------- *)
 
 let test_setup_timeout () =
@@ -463,6 +533,7 @@ let () =
           Alcotest.test_case "pinned counts (6x6 grid, k=3)" `Quick test_engine_pin;
           Alcotest.test_case "pinned counts under the fault mix" `Quick
             test_engine_pin_fault_mix;
+          QCheck_alcotest.to_alcotest ~long:false prop_codec_roundtrip;
         ] );
       ( "bounded BF",
         [
