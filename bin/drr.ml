@@ -348,12 +348,18 @@ let tree_cmd =
             <> Tree.path tree s d
           then ok := false
         done;
-        Format.printf "exact on 500 sampled pairs: %b@." !ok
+        Format.printf "exact on 500 sampled pairs: %b@." !ok;
+        if not !ok then exit 1
       end
-    end
+    end;
+    if out.Routing.Dist_tree_routing.failures <> [] then exit 1
   in
   Cmd.v
-    (Cmd.info "tree" ~doc:"Run the distributed tree-routing protocol on the simulator.")
+    (Cmd.info "tree"
+       ~doc:
+         "Run the distributed tree-routing protocol on the simulator. Exits 1 \
+          when the protocol reports failures or a sampled route differs from \
+          the tree path.")
     Term.(
       const run $ seed_t $ n_t $ topology_t $ q_t $ faults_t $ reliable_t
       $ rounds_limit_t $ domains_t $ json_t)
@@ -396,9 +402,19 @@ let trace_cmd =
                          Obj [ ("name", Str name); ("rounds", Int rounds) ])
                        (Congest.Trace.phase_breakdown tr ~total_rounds:total)) );
                 ("metrics", Congest.Export.metrics m);
+                ( "failures",
+                  Arr
+                    (List.map
+                       (fun s -> Str s)
+                       out.Routing.Dist_tree_routing.failures) );
                 ("trace", Congest.Export.trace tr);
               ]))
     else begin
+      (match out.Routing.Dist_tree_routing.failures with
+      | [] -> ()
+      | fs ->
+        Format.printf "PROTOCOL FAILURES:@.";
+        List.iter (fun f -> Format.printf "  %s@." f) fs);
       Format.printf "tree-routing protocol on %a: %d rounds@.@." Graph.pp g total;
       Format.printf "per-phase breakdown (root's phase spans):@.";
       List.iter
@@ -420,13 +436,15 @@ let trace_cmd =
         (Congest.Trace.events_recorded tr);
       Format.printf "wall-clock: %.3f s, wakeups: %d (%.1f per round)@." wall
         m.Congest.Metrics.wakeups per_round
-    end
+    end;
+    if out.Routing.Dist_tree_routing.failures <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Run the tree-routing protocol under a trace and print the per-phase \
-          round breakdown (rows sum to the measured round count).")
+          round breakdown (rows sum to the measured round count). Exits 1 \
+          when the protocol reports failures.")
     Term.(
       const run $ seed_t $ n_t $ topology_t $ q_t $ rounds_limit_t $ domains_t
       $ json_t)
