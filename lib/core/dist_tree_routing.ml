@@ -711,10 +711,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
         if local_root_flag then begin
           if ancestors.(i) >= 0 && not !got_anc then fail me "alg1: ancestor msg missing";
           ancestors.(i + 1) <- (if ancestors.(i) >= 0 then !a_next else -1);
-          s_cur := !s_cur + !s_add;
-          if Sys.getenv_opt "DTR_DEBUG" <> None then
-            Printf.eprintf "[alg1] v%d i=%d a_i=%d a_next=%d s_add=%d s=%d\n%!" me i
-              ancestors.(i) ancestors.(i + 1) !s_add !s_cur
+          s_cur := !s_cur + !s_add
         end;
         sub_end ();
         cur_iter := -1

@@ -506,16 +506,6 @@ let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
         done;
         (* parents must be members; prune leaves-first via the tree builder *)
         let tree = tree_of_candidates n w ~member ~dist:cdist ~parent:cparent g in
-        if Sys.getenv_opt "SCHEME_DEBUG" <> None then begin
-          let nm = Array.fold_left (fun a b -> if b then a + 1 else a) 0 member in
-          if Tree.size tree <> nm then
-            for v = 0 to n - 1 do
-              if member.(v) && not (Tree.mem tree v) then
-                Printf.eprintf
-                  "[scheme] owner=%d pruned v=%d cdist=%f cparent=%d path=%b\n%!"
-                  w v cdist.(v) cparent.(v) joined_by_path.(v)
-            done
-        end;
         cluster_trees_high := (w, tree) :: !cluster_trees_high;
         List.iter
           (fun v -> level_membership.(v) <- level_membership.(v) + 1)
