@@ -13,8 +13,8 @@
 
    Every experiment also writes a machine-readable BENCH_<name>.json next to
    the working directory (validated by `drr json-check` in CI), plus a
-   BENCH_<name>-latest.json pointer used by Bench_harness to print trend
-   deltas against the previous run. *)
+   BENCH_<name>-latest.json pointer that the benchmark's Trend module diffs
+   the next run against, rows matched by their identity fields. *)
 
 open Dgraph
 module J = Congest.Export.Json
@@ -29,7 +29,7 @@ let header title =
   Printf.printf "== %s\n" title;
   line ()
 
-let emit_json = Bench_harness.emit
+let emit_json = Bench_suite.Trend.emit
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: distributed exact tree routing                              *)

@@ -61,14 +61,6 @@ let class_name (e : event) =
     | Join _ -> "join"
     | Leave _ -> "leave"
 
-let pp_op ppf = function
-  | Insert { u; v; w } -> Format.fprintf ppf "insert %d-%d w=%g" u v w
-  | Delete { u; v } -> Format.fprintf ppf "delete %d-%d" u v
-  | Reweight { u; v; w } -> Format.fprintf ppf "reweight %d-%d w=%g" u v w
-  | Join { v; edges } ->
-    Format.fprintf ppf "join %d deg=%d" v (List.length edges)
-  | Leave { v } -> Format.fprintf ppf "leave %d" v
-
 let note (m : Metrics.t) (e : event) =
   if e.flap then m.Metrics.churn_flaps <- m.Metrics.churn_flaps + 1
   else

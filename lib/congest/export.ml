@@ -373,56 +373,6 @@ let outcome (o : Sim.outcome) =
 let report (r : Sim.report) =
   Obj [ ("outcome", outcome r.Sim.outcome); ("metrics", metrics r.Sim.metrics) ]
 
-(* {1 CSV} *)
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let metrics_csv (m : Metrics.t) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    "rounds,wakeups,messages,message_words,max_edge_load,peak_memory_max,peak_memory_avg,dropped,duplicated,delayed,retransmitted\n";
-  Buffer.add_string buf
-    (Printf.sprintf "%d,%d,%d,%d,%d,%d,%.3f,%d,%d,%d,%d\n" m.Metrics.rounds
-       m.Metrics.wakeups m.Metrics.messages m.Metrics.message_words
-       m.Metrics.max_edge_load
-       (Metrics.peak_memory_max m)
-       (Metrics.peak_memory_avg m)
-       m.Metrics.dropped m.Metrics.duplicated m.Metrics.delayed
-       m.Metrics.retransmitted);
-  Buffer.contents buf
-
-let rounds_csv t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "round,messages,words,wakeups,max_edge_load,faults\n";
-  Array.iter
-    (fun (r : Trace.round_sample) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%d,%d,%d\n" r.Trace.r_round
-           r.Trace.r_messages r.Trace.r_words r.Trace.r_wakeups
-           r.Trace.r_max_edge_load r.Trace.r_faults))
-    (Trace.rounds t);
-  Buffer.contents buf
-
-let spans_csv t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "name,detail,depth,phase,start_round,end_round,rounds,messages,words,peak_memory\n";
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%s,%d,%b,%d,%d,%d,%d,%d,%d\n"
-           (csv_escape (Trace.span_name s))
-           (csv_escape (Trace.span_detail s))
-           (Trace.span_depth s) (Trace.span_is_phase s) (Trace.span_start s)
-           (Trace.span_end s) (Trace.span_rounds s) (Trace.span_messages s)
-           (Trace.span_words s)
-           (Trace.span_peak_memory s)))
-    (Trace.spans t);
-  Buffer.contents buf
-
 let to_channel oc j =
   output_string oc (Json.to_string j);
   output_char oc '\n'

@@ -1,4 +1,4 @@
-(** JSON / CSV export of run reports, with no external dependencies.
+(** JSON export of run reports, with no external dependencies.
 
     Everything the observability layer collects — {!Metrics} (including its
     histograms), {!Trace} spans/rings, {!Sim.report} — serializes through
@@ -49,17 +49,6 @@ val round_sample : Trace.round_sample -> Json.t
 val trace : Trace.t -> Json.t
 val outcome : Sim.outcome -> Json.t
 val report : Sim.report -> Json.t
-
-(** {1 CSV} *)
-
-val metrics_csv : Metrics.t -> string
-(** Header line plus one data row. *)
-
-val rounds_csv : Trace.t -> string
-(** One row per retained ring sample. *)
-
-val spans_csv : Trace.t -> string
-(** One row per span, in open order. *)
 
 (** {1 IO helpers} *)
 

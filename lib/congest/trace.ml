@@ -192,7 +192,6 @@ let span_depth s = s.sp_depth
 let span_is_phase s = s.sp_phase
 let span_start s = s.sp_start
 let span_end s = s.sp_end
-let span_is_open s = s.sp_end < 0
 let span_rounds s = if s.sp_end < 0 then 0 else s.sp_end - s.sp_start
 let span_messages s = s.sp_messages
 let span_words s = s.sp_words

@@ -90,8 +90,6 @@ val span_start : span -> int
 val span_end : span -> int
 (** -1 while the span is open. *)
 
-val span_is_open : span -> bool
-
 val span_rounds : span -> int
 (** [end - start]; 0 while open. *)
 

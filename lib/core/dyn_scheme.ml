@@ -714,7 +714,3 @@ let graph t = t.g
 let current t = t.cur
 let k t = t.k
 let levels t = Array.copy t.levels
-let pp_repair ppf r =
-  Format.fprintf ppf "gen %d %s: touched %d, clusters %d, %d rounds%s" r.gen r.cls
-    r.touched r.clusters_rebuilt r.rounds
-    (if r.full_rebuild then " (full rebuild)" else "")

@@ -160,5 +160,3 @@ val k : t -> int
 
 val levels : t -> int array
 (** Copy of the per-vertex hierarchy levels. *)
-
-val pp_repair : Format.formatter -> repair -> unit
