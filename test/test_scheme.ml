@@ -320,6 +320,131 @@ let prop_delivery =
       done;
       !ok)
 
+(* ---------- router pins ---------- *)
+
+(* A canonical all-int serialization of a router, digested: every vertex's
+   owner-sorted (owner, entry, exit_, parent, heavy) rows, then every
+   destination's label entries (owner, target, target_entry, lights) in
+   order. Each list is preceded by its length. Any change to a table row or
+   a label entry changes the digest. *)
+let router_digest gr =
+  let b = Buffer.create 4096 in
+  let int x =
+    Buffer.add_string b (string_of_int x);
+    Buffer.add_char b ' '
+  in
+  let n = Tz.Graph_routing.n gr in
+  for v = 0 to n - 1 do
+    let rows =
+      List.sort
+        (fun (a, _) (c, _) -> compare a c)
+        (Tz.Graph_routing.fold_tables gr v (fun w tab acc -> (w, tab) :: acc) [])
+    in
+    int (List.length rows);
+    List.iter
+      (fun (w, (t : Tz.Tree_routing.table)) ->
+        List.iter int [ w; t.entry; t.exit_; t.parent; t.heavy ])
+      rows
+  done;
+  for y = 0 to n - 1 do
+    let entries = Tz.Graph_routing.label gr y in
+    int (List.length entries);
+    List.iter
+      (fun (e : Tz.Graph_routing.entry) ->
+        let l = e.tree_label in
+        List.iter int
+          [ e.owner; l.target; l.target_entry; List.length l.lights ];
+        List.iter (fun (a, c) -> int a; int c) l.lights)
+      entries
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_router what expected gr =
+  Alcotest.(check string) (what ^ " router digest") expected (router_digest gr)
+
+(* Scheme.build on ER and grid graphs for k = 2..5. At k = 5 the top level
+   [k-1] lies above [ih + 1], so approximate pivots there come from a level
+   with no exact distances. *)
+let test_pin_scheme_build () =
+  let er = workload ~seed:41 ~n:100 () in
+  let grid =
+    Gen.grid ~rng:(rng 43) ~weights:(Gen.uniform_weights 1.0 4.0) ~rows:9
+      ~cols:9 ()
+  in
+  List.iter
+    (fun (what, g, k, expected) ->
+      let s = build ~seed:(43 + k) ~k g in
+      if k = 5 then
+        Alcotest.(check bool)
+          (what ^ ": top level populated") true
+          (Tz.Hierarchy.members (Routing.Scheme.hierarchy s) (k - 1) <> []);
+      check_router (Printf.sprintf "%s k=%d" what k) expected
+        (Routing.Scheme.router s))
+    [
+      ("er", er, 2, "98b84a1b56b684d1930a62451751b7cf");
+      ("er", er, 3, "b2d25e46a03a81311008d89450954151");
+      ("er", er, 4, "baa4451f6878317beb4af7644a7604eb");
+      ("er", er, 5, "1ed406ce7d1e5dff35d5acd22faacffd");
+      ("grid", grid, 2, "454007c80965444438f38605e0a4a9ae");
+      ("grid", grid, 3, "37f1caf89d53f793eaba192406864ac4");
+      ("grid", grid, 4, "838897f4abf5939522899299fcabc56d");
+      ("grid", grid, 5, "c64897fba59321aa2a0d5fdf4ab16fa1");
+    ]
+
+(* Pipeline.run's spliced scheme on the 6x6 grid pinned in test_dist_hopset,
+   and Dist_scheme.build_scheme on a 7x7 grid. *)
+let test_pin_distributed () =
+  let rng91 seed = Random.State.make [| seed; 91 |] in
+  let g = Gen.grid ~rng:(rng91 70) ~rows:6 ~cols:6 () in
+  let p = Routing.Pipeline.run ~rng:(rng91 71) ~k:3 ~max_rounds:500_000 g in
+  (match p.Routing.Pipeline.scheme with
+  | Some s ->
+    check_router "Pipeline.run" "d53bf5537b7b9dc8f144d31c281b680a"
+      (Routing.Scheme.router s)
+  | None -> Alcotest.fail "Pipeline.run spliced no scheme");
+  let g = Gen.grid ~rng:(rng 47) ~rows:7 ~cols:7 () in
+  let r = rng 48 in
+  let o = Routing.Dist_scheme.run ~rng:r ~k:4 ~max_rounds:500_000 g in
+  check_router "Dist_scheme.build_scheme" "afb3c5e6d6396e1c938aac09a10d16fb"
+    (Routing.Scheme.router (Routing.Dist_scheme.build_scheme ~rng:r g o))
+
+let test_pin_tz () =
+  let g = workload ~seed:51 ~n:100 () in
+  check_router "Graph_routing.build" "7c599ba49d4fd556bd9e6bf62507f497"
+    (Tz.Graph_routing.build ~rng:(rng 52) ~k:3 g)
+
+(* Dyn_scheme after a churn stream, at the default trigger and with every
+   repair forced down the rebuild path; the round charges are pinned too. *)
+let test_pin_dyn () =
+  let module Dyn = Routing.Dyn_scheme in
+  let g =
+    Congest.Churn.add_spare ~spare:4
+      (Gen.grid ~rng:(rng 53) ~weights:(Gen.uniform_weights 1.0 8.0) ~rows:6
+         ~cols:6 ())
+  in
+  List.iter
+    (fun (trigger, expected, (build, repair, rebuilds)) ->
+      let t =
+        Dyn.create ~params:{ Dyn.rebuild_trigger = trigger } ~rng:(rng 54) ~k:3
+          g
+      in
+      List.iter
+        (fun e -> ignore (Dyn.apply t e))
+        (Congest.Churn.generate
+           { Congest.Churn.default_spec with seed = 55; events = 60 }
+           g);
+      let what = Printf.sprintf "trigger %g" trigger in
+      check_router what expected (Dyn.router t);
+      let st = Dyn.stats t in
+      Alcotest.(check (list int))
+        (what ^ " build/repair rounds, rebuilds")
+        [ build; repair; rebuilds ]
+        [ st.Dyn.build_rounds; st.Dyn.repair_rounds; st.Dyn.full_rebuilds ])
+    [
+      (1.0, "4b68363ec52779e5c88e043896759732", (49, 1992, 0));
+      (0.0, "4b68363ec52779e5c88e043896759732", (49, 2831, 60));
+    ]
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -359,6 +484,13 @@ let () =
           Alcotest.test_case "vs centralized TZ" `Quick test_vs_centralized_tz;
           Alcotest.test_case "section-3 protocol on appendix-B cluster tree" `Quick
             test_distributed_tree_routing_on_cluster_tree;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "Scheme.build routers" `Quick test_pin_scheme_build;
+          Alcotest.test_case "distributed routers" `Quick test_pin_distributed;
+          Alcotest.test_case "Graph_routing.build router" `Quick test_pin_tz;
+          Alcotest.test_case "Dyn_scheme routers" `Quick test_pin_dyn;
         ] );
       qsuite "properties" [ prop_delivery ];
     ]
