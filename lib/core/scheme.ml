@@ -61,7 +61,7 @@ let per_vertex_memory t = Array.copy t.per_vertex_memory
 (* Extract the approximate-cluster tree rooted at [w] from per-vertex
    candidate assignments (dist, parent). Candidates follow strictly
    decreasing distances toward the root, so the parent map is acyclic. *)
-let tree_of_candidates n w ~member ~dist ~parent g =
+let tree_of_candidates n w ~member ~parent g =
   let par = Array.make n (-2) and wpar = Array.make n 0.0 in
   par.(w) <- -1;
   for v = 0 to n - 1 do
@@ -91,7 +91,6 @@ let tree_of_candidates n w ~member ~dist ~parent g =
   for v = 0 to n - 1 do
     if par.(v) <> -2 && not (check v) then par.(v) <- -2
   done;
-  ignore dist;
   Tree.of_parents ~root:w ~parent:par ~wparent:wpar
 
 (* The exact stage of Appendix B (everything below level ⌈k/2⌉ plus the raw
@@ -356,45 +355,12 @@ let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
         ~name ~start_round:!cum ~end_round:(!cum + rounds) ());
     cum := !cum + rounds
   in
-  let tables : (int, Tz.Tree_routing.table) Hashtbl.t array =
-    Array.init n (fun _ -> Hashtbl.create 8)
-  in
-  let membership = Array.make n 0 in
-  let tree_store : (int, Tz.Tree_routing.scheme) Hashtbl.t = Hashtbl.create 64 in
-  let register_tree w (tree : Tree.t) =
-    let scheme = Tz.Tree_routing.build tree in
-    Hashtbl.replace tree_store w scheme;
-    List.iter
-      (fun v ->
-        membership.(v) <- membership.(v) + 1;
-        match scheme.Tz.Tree_routing.tables.(v) with
-        | Some tab -> Hashtbl.replace tables.(v) w tab
-        | None -> assert false)
-      (Tree.vertices tree)
-  in
   (* ---- low levels: exact stage (precomputed or protocol-run) ---- *)
-  List.iter
-    (fun c -> register_tree c.Tz.Cluster.owner c.Tz.Cluster.tree)
-    exact.Exact_stage.clusters;
   List.iter
     (fun (ph : Cost.phase) ->
       charge ~detail:ph.Cost.detail ph.Cost.name ph.Cost.rounds ph.Cost.peak_memory)
     (Cost.phases exact.Exact_stage.phases);
-  (* strict pivots for the exact half: promote when the next level is equally
-     close. Promotion is restricted to levels <= ih — the distributed stage
-     has no exact distances above ih, and a tie at the boundary only drops a
-     label entry whose next-level twin is equally good (the skip guard below
-     keeps labels well-formed either way). *)
   let exact_dist = exact.Exact_stage.dist in
-  let exact_pivots = Array.map Array.copy exact.Exact_stage.pivots in
-  for i = ih - 1 downto 0 do
-    for v = 0 to n - 1 do
-      if
-        exact_pivots.(i + 1).(v) >= 0
-        && exact_dist.(i).(v) >= exact_dist.(i + 1).(v)
-      then exact_pivots.(i).(v) <- exact_pivots.(i + 1).(v)
-    done
-  done;
   (* ---- virtual graph and hopset ---- *)
   let members = Tz.Hierarchy.members hierarchy ih in
   let b =
@@ -505,12 +471,11 @@ let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
             if joined_by_path.(v) || cdist.(v) *. one_eps < limits.(v) then member.(v) <- true
         done;
         (* parents must be members; prune leaves-first via the tree builder *)
-        let tree = tree_of_candidates n w ~member ~dist:cdist ~parent:cparent g in
+        let tree = tree_of_candidates n w ~member ~parent:cparent g in
         cluster_trees_high := (w, tree) :: !cluster_trees_high;
         List.iter
           (fun v -> level_membership.(v) <- level_membership.(v) + 1)
-          (Tree.vertices tree);
-        register_tree w tree)
+          (Tree.vertices tree))
       owners;
     let congestion = max 1 (Array.fold_left max 0 level_membership) in
     if upper = None then
@@ -520,33 +485,28 @@ let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
         (beta * ((((m * alpha) + b) * congestion / max 1 m) + b + d_est))
         (2 * congestion)
   done;
-  (* ---- labels ---- *)
-  let labels = Array.make n [] in
-  for y = 0 to n - 1 do
-    let entries = ref [] in
-    let last = ref (-1) in
-    for j = 0 to k - 1 do
-      let owner =
-        if j <= ih then exact_pivots.(j).(y)
-        else
-          match List.assoc_opt j !pivot_estimates with
-          | Some (_, origin) -> origin.(y)
-          | None -> -1
-      in
-      if owner >= 0 && owner <> !last then begin
-        last := owner;
-        match Hashtbl.find_opt tree_store owner with
-        | Some scheme -> (
-          match scheme.Tz.Tree_routing.labels.(y) with
-          | Some tree_label ->
-            entries := { Tz.Graph_routing.owner; tree_label } :: !entries
-          | None -> ())
-        | None -> ()
-      end
-    done;
-    labels.(y) <- List.rev !entries
-  done;
-  let router = Tz.Graph_routing.assemble ~k ~tables ~labels in
+  (* ---- router: the exact clusters, then the approximate ones ---- *)
+  (* Strict promotion runs over the exact levels only: the distributed stage
+     has no exact distances above ih, and a tie at the boundary only drops a
+     label entry whose next-level twin is equally good. Above ih the
+     approximate pivot is taken as is. *)
+  let pivot j y =
+    if j <= ih then
+      Tz.Hierarchy.strict_pivot ~dist:exact_dist ~pivots:exact.Exact_stage.pivots
+        j y
+    else (snd (List.assoc j !pivot_estimates)).(y)
+  in
+  let router =
+    Tz.Graph_routing.of_trees ~k ~n ~pivot
+      (List.map
+         (fun c -> (c.Tz.Cluster.owner, c.Tz.Cluster.tree))
+         exact.Exact_stage.clusters
+      @ List.rev !cluster_trees_high)
+  in
+  let membership =
+    Array.init n (fun v ->
+        Tz.Graph_routing.fold_tables router v (fun _ _ c -> c + 1) 0)
+  in
   (* tree-routing construction charge: Theorem 2 multi-tree form *)
   let s_max = max 1 (Array.fold_left max 0 membership) in
   charge
@@ -558,7 +518,7 @@ let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
   let words = Array.make n 0 in
   for v = 0 to n - 1 do
     words.(v) <-
-      (5 * Hashtbl.length tables.(v))
+      Tz.Graph_routing.table_words router v
       + Tz.Graph_routing.label_words router v
       + (3 * List.length (Hopset.out_edges hopset v))
       + k

@@ -56,10 +56,16 @@ let attribute_sources parent srcs =
   done;
   src
 
+let rec strict_pivot ~dist ~pivots i v =
+  if i = Array.length pivots - 1 then pivots.(i).(v)
+  else
+    let up = strict_pivot ~dist ~pivots (i + 1) v in
+    if up >= 0 && dist.(i).(v) >= dist.(i + 1).(v) then up else pivots.(i).(v)
+
 let build ~rng ~k g =
   let n = Graph.n g in
   let level = sample_levels ~rng ~k ~n in
-  let dist = Array.make k [||] and pivots = Array.make k [||] in
+  let dist = Array.make k [||] and raw = Array.make k [||] in
   for i = 0 to k - 1 do
     let srcs = ref [] in
     for v = n - 1 downto 0 do
@@ -67,21 +73,17 @@ let build ~rng ~k g =
     done;
     if !srcs = [] then begin
       dist.(i) <- Array.make n infinity;
-      pivots.(i) <- Array.make n (-1)
+      raw.(i) <- Array.make n (-1)
     end
     else begin
       let res = Sssp.dijkstra_multi g ~srcs:!srcs in
       dist.(i) <- res.Sssp.dist;
-      pivots.(i) <- attribute_sources res.Sssp.parent !srcs
+      raw.(i) <- attribute_sources res.Sssp.parent !srcs
     end
   done;
-  (* strict pivots: promote when the next level is equally close *)
-  for i = k - 2 downto 0 do
-    for v = 0 to n - 1 do
-      if pivots.(i + 1).(v) >= 0 && dist.(i).(v) >= dist.(i + 1).(v) then
-        pivots.(i).(v) <- pivots.(i + 1).(v)
-    done
-  done;
+  let pivots =
+    Array.init k (fun i -> Array.init n (strict_pivot ~dist ~pivots:raw i))
+  in
   { k; n; level; built = Some { dist; pivots } }
 
 let k t = t.k

@@ -44,5 +44,16 @@ val pivot : t -> int -> int -> int option
 (** [pivot h i v]: the strict [i]-pivot of [v] ([None] iff [A_i] is empty or
     unreachable). [pivot h 0 v = Some v]. Requires [build]. *)
 
+val strict_pivot :
+  dist:float array array -> pivots:int array array -> int -> int -> int
+(** [strict_pivot ~dist ~pivots i v]: the strict-pivot rule, the one place
+    it is written. [pivots.(j).(v)] is a raw [j]-pivot of [v] ([-1] = none)
+    and [dist.(j).(v) = d(v, A_j)], for [i ≤ j ≤ top] with
+    [top = Array.length pivots - 1]. The top level keeps its raw pivot;
+    below it, level [j] takes level [j+1]'s strict pivot when there is one
+    and [d(v, A_j) ≥ d(v, A_{j+1})], and its raw pivot otherwise. {!build}
+    stores these for every level; callers that hold rows for only some
+    levels pass those rows, so promotion stops at their top. *)
+
 val pp : Format.formatter -> t -> unit
 (** Level population summary. *)
