@@ -1181,7 +1181,8 @@ let distscheme () =
      hopset\n\
     \ edges, approximate pivot/cluster waves -- before reporting; measured\n\
     \ spans are protocol rounds on the raw transport, charged values the\n\
-    \ paper's cost formulas; no construction phase is Cost-charged-only)\n"
+    \ paper's cost formulas; after the splice one construction phase is\n\
+    \ still Cost-charged: \"tree routing schemes\", Theorem 2's formula)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Churn: amortized incremental repair vs rebuild-from-scratch           *)

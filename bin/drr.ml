@@ -524,8 +524,8 @@ let pp_dist_scheme ~full (p : Routing.Pipeline.t) =
     match p.scheme with
     | Some s ->
       Format.printf
-        "spliced scheme: hopset %d edges, cost %d rounds (all measured \
-         construction spans)@."
+        "spliced scheme: hopset %d edges, cost %d rounds (construction spans \
+         measured, except the charged \"tree routing schemes\")@."
         (Routing.Scheme.hopset_size s)
         (Routing.Cost.total_rounds (Routing.Scheme.cost s))
     | None -> Format.printf "no scheme: pipeline stopped on failures@."

@@ -130,7 +130,8 @@ val check_against_centralized :
 val build_scheme :
   rng:Random.State.t -> Dgraph.Graph.t -> Dist_scheme.outcome -> outcome -> Scheme.t
 (** Splice both protocol outcomes into the full scheme
-    ({!Scheme.build_from_exact} with [?upper]): every construction phase of
-    the cost now carries measured spans — nothing upper-stage remains
-    Cost-charged-only. Parameters are pinned to what the protocols actually
-    ran with ([b], [lambda], [beta], [epsilon]); [rng] is not consumed. *)
+    ({!Scheme.build_from_exact} with [?upper]): every upper-stage phase of
+    the cost carries measured spans. One construction phase stays
+    charged: "tree routing schemes", booked by Theorem 2's formula.
+    Parameters are pinned to what the protocols actually ran with ([b],
+    [lambda], [beta], [epsilon]); [rng] is not consumed. *)

@@ -32,8 +32,9 @@ type t = {
       (** [None] iff the upper stage did not run ([full] off, or the exact
           stage failed) *)
   scheme : Scheme.t option;
-      (** the spliced scheme, every construction phase measured; [Some] iff
-          the upper stage completed *)
+      (** the spliced scheme, every construction phase measured except
+          the charged "tree routing schemes"; [Some] iff the upper stage
+          completed *)
   exact_gate : verdict;
   upper_gate : verdict;
   gate_mode : Dist_scheme.gate_mode;
