@@ -57,7 +57,6 @@ module Make (M : Sim.MESSAGE) : sig
   val run :
     ?max_rounds:int ->
     ?edge_capacity:int ->
-    ?word_limit:int ->
     ?faults:Fault.t ->
     ?trace:Trace.t ->
     ?scheduler:Sim.scheduler ->
@@ -73,7 +72,7 @@ module Make (M : Sim.MESSAGE) : sig
       {e virtual} round ([real_round] reads the underlying simulator's
       clock); [send] raises {!Sim.Congestion} beyond [edge_capacity] sends
       to one port in one virtual round and {!Sim.Message_too_large} beyond
-      [word_limit] — the protocol-level CONGEST limits stay enforced even
+      8 words — the protocol-level CONGEST limits stay enforced even
       though the transport's own frames ride on a wider physical budget;
       [set_memory w] declares [w] plus the transport's buffered words, so
       retransmission buffers are charged to the vertex's ledger: the frame
@@ -88,11 +87,12 @@ module Make (M : Sim.MESSAGE) : sig
       the list is rebuilt only when a link dies. A protocol body abstracted
       over the module runs unchanged on either transport.
 
-      [edge_capacity] and [word_limit] are the {e protocol-level} limits;
-      the underlying simulator runs with a constant-factor wider budget
-      ([edge_capacity + 2] frames of [word_limit + 2] words) to carry stream
-      headers, end-of-round markers and acks. [max_rounds] bounds {e real}
-      rounds. Metrics count real rounds/messages plus the transport's
+      [edge_capacity] and the 8-word message size ({!Sim.Make.run}'s
+      default [word_limit]) are the {e protocol-level} limits; the
+      underlying simulator runs with a constant-factor wider budget
+      ([edge_capacity + 2] frames of 10 words) to carry stream headers,
+      end-of-round markers and acks. [max_rounds] bounds {e real} rounds.
+      Metrics count real rounds/messages plus the transport's
       retransmissions.
 
       With [?trace], besides the per-round ring fed by the underlying

@@ -305,8 +305,8 @@ type gate_mode = Exact | Sampled of { sample : int; seed : int }
 
 let gate_threshold = 20_000
 
-let auto_gate_mode ?(sample = 256) n =
-  if n <= gate_threshold then Exact else Sampled { sample; seed = 0x5eed }
+let auto_gate_mode n =
+  if n <= gate_threshold then Exact else Sampled { sample = 256; seed = 0x5eed }
 
 let gate_mode_name = function
   | Exact -> "exact"

@@ -157,10 +157,10 @@ type gate_mode =
 val gate_threshold : int
 (** Vertex count above which {!auto_gate_mode} switches to sampling. *)
 
-val auto_gate_mode : ?sample:int -> int -> gate_mode
+val auto_gate_mode : int -> gate_mode
 (** [auto_gate_mode n]: [Exact] for [n <= gate_threshold], else
-    [Sampled] with [?sample] (default 256) and a fixed seed — the policy
-    the CLI and benches apply. *)
+    [Sampled] with 256 samples and a fixed seed — the policy the CLI and
+    benches apply. *)
 
 val gate_mode_name : gate_mode -> string
 (** ["exact"] or ["sampled(sample=…,seed=…)"] — log this next to the gate
