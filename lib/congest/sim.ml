@@ -971,26 +971,31 @@ module Make (M : MESSAGE) = struct
         pending = 0;
       }
     in
+    (* What a program's [send]/[round]/memory calls do while one domain
+       context runs it: installed in the coordinator's and each worker's
+       domain-local slot. *)
+    let ops_of dc =
+      {
+        op_send = (fun p m -> do_send dc dc.drunning p m);
+        op_round = (fun () -> !cur_round);
+        op_set_memory =
+          (fun w ->
+            let st = dc.drunning in
+            st.mem_words <- w;
+            Metrics.note_memory dc.dmetrics st.id w);
+        op_add_memory =
+          (fun d ->
+            let st = dc.drunning in
+            st.mem_words <- max 0 (st.mem_words + d);
+            Metrics.note_memory dc.dmetrics st.id st.mem_words);
+        op_note_retransmit =
+          (fun () ->
+            dc.dmetrics.Metrics.retransmitted <-
+              dc.dmetrics.Metrics.retransmitted + 1);
+      }
+    in
     let worker dc () =
-      Domain.DLS.set dls_ops
-        {
-          op_send = (fun p m -> do_send dc dc.drunning p m);
-          op_round = (fun () -> !cur_round);
-          op_set_memory =
-            (fun w ->
-              let st = dc.drunning in
-              st.mem_words <- w;
-              Metrics.note_memory dc.dmetrics st.id w);
-          op_add_memory =
-            (fun d ->
-              let st = dc.drunning in
-              st.mem_words <- max 0 (st.mem_words + d);
-              Metrics.note_memory dc.dmetrics st.id st.mem_words);
-          op_note_retransmit =
-            (fun () ->
-              dc.dmetrics.Metrics.retransmitted <-
-                dc.dmetrics.Metrics.retransmitted + 1);
-        };
+      Domain.DLS.set dls_ops (ops_of dc);
       let myseq = ref 0 in
       let running = ref true in
       while !running do
@@ -1102,25 +1107,7 @@ module Make (M : MESSAGE) = struct
       end
     in
     let saved_ops = Domain.DLS.get dls_ops in
-    Domain.DLS.set dls_ops
-      {
-        op_send = (fun p m -> do_send dctx0 dctx0.drunning p m);
-        op_round = (fun () -> !cur_round);
-        op_set_memory =
-          (fun w ->
-            let st = dctx0.drunning in
-            st.mem_words <- w;
-            Metrics.note_memory dctx0.dmetrics st.id w);
-        op_add_memory =
-          (fun d ->
-            let st = dctx0.drunning in
-            st.mem_words <- max 0 (st.mem_words + d);
-            Metrics.note_memory dctx0.dmetrics st.id st.mem_words);
-        op_note_retransmit =
-          (fun () ->
-            dctx0.dmetrics.Metrics.retransmitted <-
-              dctx0.dmetrics.Metrics.retransmitted + 1);
-      };
+    Domain.DLS.set dls_ops (ops_of dctx0);
     Fun.protect
       ~finally:(fun () ->
         quit_workers ();
@@ -1134,14 +1121,8 @@ module Make (M : MESSAGE) = struct
         (* Round 0: start every program (crash-at-0 vertices never run). *)
         if evt then apply_crashes_upto 0 else apply_crashes 0;
         snapshot_trace ();
-        if nd = 1 then begin
-          Array.iter (fun st -> if not st.crashed then start dctx0 st) states;
-          deliver dctx0 (-1)
-        end
-        else begin
-          run_phase C_start;
-          run_phase C_deliver
-        end;
+        run_phase C_start;
+        run_phase C_deliver;
         record_trace 0;
         if evt then event_loop () else scan_loop ())
 end
