@@ -58,22 +58,25 @@ let test_pivot_distances () =
   done
 
 let test_strict_pivots () =
-  (* when pivot stays at level exactly i, membership y in C(pivot) holds *)
-  let g = er_graph ~seed:11 () in
-  let h = Tz.Hierarchy.build ~rng:(rng 13) ~k:3 g in
-  let clusters = Tz.Cluster.all g h in
-  let n = Graph.n g in
-  for y = 0 to n - 1 do
-    for i = 0 to 2 do
-      match Tz.Hierarchy.pivot h i y with
-      | Some w when Tz.Hierarchy.level h w = i ->
-        Alcotest.(check bool)
-          (Printf.sprintf "y=%d in C(pivot_%d=%d)" y i w)
-          true
-          (Tz.Cluster.mem clusters.(w) y)
-      | _ -> ()
-    done
-  done
+  (* when pivot stays at level exactly i, membership y in C(pivot) holds;
+     the unit-weight grid has the distance ties that promotion resolves *)
+  List.iter
+    (fun g ->
+      let h = Tz.Hierarchy.build ~rng:(rng 13) ~k:3 g in
+      let clusters = Tz.Cluster.all g h in
+      let n = Graph.n g in
+      for y = 0 to n - 1 do
+        for i = 0 to 2 do
+          match Tz.Hierarchy.pivot h i y with
+          | Some w when Tz.Hierarchy.level h w = i ->
+            Alcotest.(check bool)
+              (Printf.sprintf "y=%d in C(pivot_%d=%d)" y i w)
+              true
+              (Tz.Cluster.mem clusters.(w) y)
+          | _ -> ()
+        done
+      done)
+    [ er_graph ~seed:11 (); Gen.grid ~rng:(rng 15) ~rows:10 ~cols:10 () ]
 
 (* ---------- Clusters ---------- *)
 
