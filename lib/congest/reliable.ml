@@ -64,12 +64,14 @@ module Make (M : Sim.MESSAGE) = struct
       | Ack _ -> 2
 
     (* slab layout: [tag; seq/upto; rest]; Data nests M's codec in [rest],
-       Eor reuses its first slot for the virtual round *)
+       Eor reuses its first slot for the virtual round. Data's tag slot
+       also carries the body's accounted words above the two tag bits, so a
+       receiver books its buffers without decoding the body. *)
     let slots = 2 + max 1 M.slots
 
     let encode s base = function
       | Data { seq; body } ->
-        Slab.set s base 0;
+        Slab.set s base (M.words body lsl 2);
         Slab.set s (base + 1) seq;
         M.encode s (base + 2) body
       | Eor { seq; vr } ->
@@ -84,22 +86,21 @@ module Make (M : Sim.MESSAGE) = struct
         Slab.set s (base + 1) upto
 
     let decode s base =
-      match Slab.get s base with
+      match Slab.get s base land 3 with
       | 0 -> Data { seq = Slab.get s (base + 1); body = M.decode s (base + 2) }
       | 1 -> Eor { seq = Slab.get s (base + 1); vr = Slab.get s (base + 2) }
       | 2 -> Fin { seq = Slab.get s (base + 1) }
-      | 3 -> Ack { upto = Slab.get s (base + 1) }
-      | t -> invalid_arg (Printf.sprintf "Reliable: corrupt frame tag %d" t)
+      | _ -> Ack { upto = Slab.get s (base + 1) }
   end
 
   module S = Sim.Make (F)
+  module V = Sim.Inbox (M)
 
   type ctx = { me : int; n : int; neighbors : int array; weights : float array }
-  type inbox = (int * M.t) list
 
-  let frame_seq = function
-    | Data { seq; _ } | Eor { seq; _ } | Fin { seq } -> seq
-    | Ack _ -> -1
+  (* a received payload waiting for its virtual round:
+     [virtual round; accounted words; payload x M.slots] *)
+  let dstride = 2 + M.slots
 
   (* fills the outgoing ring's unused slots *)
   let no_frame = Ack { upto = -1 }
@@ -121,7 +122,7 @@ module Make (M : Sim.MESSAGE) = struct
     (* incoming stream *)
     mutable recv_next : int;
     ooo : (int, frame) Hashtbl.t;  (* out-of-order frames by seq *)
-    indata : (int * M.t) Queue.t;  (* (virtual round, payload), round-ordered *)
+    indata : Slab.t;  (* [dstride]-int records, round-ordered *)
     mutable peer_eor : int;  (* in-order end-of-round markers processed *)
     mutable peer_fin : bool;
     mutable last_heard : int;  (* real round of the last accepted frame *)
@@ -145,6 +146,9 @@ module Make (M : Sim.MESSAGE) = struct
            frames, undelivered payloads (1 + payload words each); kept up to
            date as frames enter and leave them *)
     mutable dead_ports : (int * string) list;  (* port order; rebuilt when a link dies *)
+    view : Slab.t;
+        (* the protocol's inbox view: the payloads of the virtual rounds the
+           current blocking call closed, as {!Sim.Inbox} records *)
     trace : Trace.t option;
   }
 
@@ -170,7 +174,7 @@ module Make (M : Sim.MESSAGE) = struct
               sent_this_vr = 0;
               recv_next = 0;
               ooo = Hashtbl.create 4;
-              indata = Queue.create ();
+              indata = Slab.create ();
               peer_eor = 0;
               peer_fin = false;
               last_heard = 0;
@@ -183,6 +187,7 @@ module Make (M : Sim.MESSAGE) = struct
       last_pump = -1;
       buffered = 0;
       dead_ports = [];
+      view = Slab.create ();
       trace;
     }
 
@@ -247,20 +252,45 @@ module Make (M : Sim.MESSAGE) = struct
       Trace.event tr (Printf.sprintf "link v%d->v%d dead: %s" ep.me l.peer why)
     | None -> ()
 
+  (* book a payload of [words] for virtual round [l.peer_eor]; returns the
+     slab index its [M.slots] ints go to *)
+  let push_data ep l words =
+    let b = Slab.alloc l.indata dstride in
+    Slab.set l.indata b l.peer_eor;
+    Slab.set l.indata (b + 1) words;
+    ep.buffered <- ep.buffered + 1 + words;
+    b + 2
+
+  let accept_eor l vr =
+    assert (vr = l.peer_eor);
+    l.peer_eor <- l.peer_eor + 1
+
+  let accept_fin ep l =
+    l.peer_fin <- true;
+    (* the peer has finished: nothing we still owe it can matter *)
+    clear_stream ep l;
+    l.tries <- 0;
+    close_backoff ep l
+
+  (* a buffered out-of-order frame, now next in line *)
   let accept ep l = function
-    | Data { body; _ } ->
-      Queue.add (l.peer_eor, body) l.indata;
-      ep.buffered <- ep.buffered + 1 + M.words body
-    | Eor { vr; _ } ->
-      assert (vr = l.peer_eor);
-      l.peer_eor <- l.peer_eor + 1
-    | Fin _ ->
-      l.peer_fin <- true;
-      (* the peer has finished: nothing we still owe it can matter *)
-      clear_stream ep l;
-      l.tries <- 0;
-      close_backoff ep l
+    | Data { body; _ } -> M.encode l.indata (push_data ep l (M.words body)) body
+    | Eor { vr; _ } -> accept_eor l vr
+    | Fin _ -> accept_fin ep l
     | Ack _ -> assert false
+
+  (* an in-order frame, read in place from record [i] of the simulator's
+     inbox view; [hdr] is its tag slot *)
+  let accept_raw ep l ib i hdr =
+    match hdr land 3 with
+    | 0 ->
+      let b = push_data ep l (hdr lsr 2) in
+      for j = 0 to M.slots - 1 do
+        Slab.set l.indata (b + j) (S.slot ib i (2 + j))
+      done
+    | 1 -> accept_eor l (S.slot ib i 2)
+    | 2 -> accept_fin ep l
+    | _ -> assert false
 
   (* accept the buffered out-of-order frames that are now next in line *)
   let rec drain_ooo ep l =
@@ -274,12 +304,13 @@ module Make (M : Sim.MESSAGE) = struct
         drain_ooo ep l
       | exception Not_found -> ()
 
-  let process ep port f =
-    let l = ep.links.(port) in
+  let process ep ib i =
+    let l = ep.links.(S.port ib i) in
     if l.dead = None then begin
-      match f with
-      | Ack { upto } ->
-        let acked = Int.min (upto + 1) l.sent in
+      let hdr = S.slot ib i 0 in
+      if hdr = 3 then begin
+        (* Ack *)
+        let acked = Int.min (S.slot ib i 1 + 1) l.sent in
         if acked > l.head then begin
           release ep l acked;
           if l.head = l.sent then begin
@@ -292,28 +323,31 @@ module Make (M : Sim.MESSAGE) = struct
             l.last_tx <- S.round ()
           end
         end
-      | Data _ | Eor _ | Fin _ ->
+      end
+      else begin
+        (* Data, Eor or Fin *)
         l.ack_due <- true;
-        let s = frame_seq f in
+        let s = S.slot ib i 1 in
         if s = l.recv_next then begin
           l.last_heard <- S.round ();
-          accept ep l f;
+          accept_raw ep l ib i hdr;
           l.recv_next <- s + 1;
           drain_ooo ep l
         end
         else if s > l.recv_next && not (Hashtbl.mem l.ooo s) then begin
+          let f = S.msg ib i in
           Hashtbl.replace l.ooo s f;
           ep.buffered <- ep.buffered + F.words f
         end
-      (* s < recv_next, or already buffered: a duplicate; the pending ack
-         repairs the peer's view *)
+        (* s < recv_next, or already buffered: a duplicate; the pending ack
+           repairs the peer's view *)
+      end
     end
 
-  let rec process_inbox ep = function
-    | [] -> ()
-    | (port, f) :: rest ->
-      process ep port f;
-      process_inbox ep rest
+  let process_inbox ep ib =
+    for i = 0 to S.count ib - 1 do
+      process ep ib i
+    done
 
   let timeout_of ep l = ep.cfg.ack_timeout * ipow ep.cfg.backoff (max 0 (l.tries - 1))
 
@@ -410,7 +444,8 @@ module Make (M : Sim.MESSAGE) = struct
     done
 
   (* finish virtual round [ep.vr], wait out the synchronizer, enter the next
-     round and return the data delivered for it (in port order) *)
+     round and append the data delivered for it to the view (in port order,
+     oldest first within a port) *)
   let advance_one ep =
     for i = 0 to Array.length ep.links - 1 do
       let l = ep.links.(i) in
@@ -426,17 +461,19 @@ module Make (M : Sim.MESSAGE) = struct
       end
     done;
     ep.vr <- ep.vr + 1;
-    let delivered = ref [] in
     for i = 0 to Array.length ep.links - 1 do
       let l = ep.links.(i) in
       l.sent_this_vr <- 0;
-      while (not (Queue.is_empty l.indata)) && fst (Queue.peek l.indata) < ep.vr do
-        let _, body = Queue.pop l.indata in
-        ep.buffered <- ep.buffered - 1 - M.words body;
-        delivered := (l.port, body) :: !delivered
-      done
-    done;
-    List.rev !delivered
+      let d = l.indata in
+      let h = ref 0 in
+      while !h < Slab.length d && Slab.get d !h < ep.vr do
+        ep.buffered <- ep.buffered - 1 - Slab.get d (!h + 1);
+        let b = V.add ep.view l.port in
+        Slab.blit ~src:d ~src_pos:(!h + 2) ~dst:ep.view ~dst_pos:b ~len:M.slots;
+        h := !h + dstride
+      done;
+      Slab.shift d !h
+    done
 
   let rec any_streaming links i =
     i < Array.length links && (streaming links.(i) || any_streaming links (i + 1))
@@ -454,37 +491,48 @@ module Make (M : Sim.MESSAGE) = struct
       raise (Sim.Message_too_large { vertex = ep.me; words; round = ep.vr });
     if streaming l then push_frame ep l (Data { seq = l.next_seq; body = m })
 
-  let rec rel_wait ep =
-    match advance_one ep with
-    | [] ->
+  (* Each blocking call expires the previous view, closes at least one
+     virtual round and returns the view. *)
+  let rel_sync ep =
+    Slab.clear ep.view;
+    advance_one ep;
+    ep.view
+
+  let rel_wait ep =
+    ignore (rel_sync ep);
+    while Slab.length ep.view = 0 do
       (* nothing can ever arrive: park on the simulator so the run is
          reported as deadlocked rather than spinning forever *)
       if not (any_streaming ep.links 0) then ignore (S.wait ());
-      rel_wait ep
-    | d -> d
+      advance_one ep
+    done;
+    ep.view
 
   let rel_sleep_until ep r =
-    if r <= ep.vr then advance_one ep
-    else begin
-      let acc = ref [] in
-      while ep.vr < r do
-        acc := List.rev_append (advance_one ep) !acc
-      done;
-      List.rev !acc
-    end
+    ignore (rel_sync ep);
+    while ep.vr < r do
+      advance_one ep
+    done;
+    ep.view
 
-  let rec rel_wait_until ep r =
-    match advance_one ep with
-    | [] when ep.vr < r -> rel_wait_until ep r
-    | d -> d
+  let rel_wait_until ep r =
+    ignore (rel_sync ep);
+    while Slab.length ep.view = 0 && ep.vr < r do
+      advance_one ep
+    done;
+    ep.view
 
   let transport ep : (module Sim.TRANSPORT with type msg = M.t) =
     (module struct
       type msg = M.t
-      type nonrec inbox = inbox
+      type inbox = Slab.t
 
+      let count = V.count
+      let port = V.port
+      let msg = V.msg
+      let slot = V.slot
       let send p m = rel_send ep p m
-      let sync () = advance_one ep
+      let sync () = rel_sync ep
       let wait () = rel_wait ep
       let sleep_until r = rel_sleep_until ep r
       let wait_until r = rel_wait_until ep r

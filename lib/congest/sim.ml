@@ -44,8 +44,12 @@ let pp_outcome ppf = function
     [(module TRANSPORT with type msg = ...)] and run on either. *)
 module type TRANSPORT = sig
   type msg
-  type inbox = (int * msg) list
+  type inbox
 
+  val count : inbox -> int
+  val port : inbox -> int -> int
+  val msg : inbox -> int -> msg
+  val slot : inbox -> int -> int -> int
   val send : int -> msg -> unit
   val sync : unit -> inbox
   val wait : unit -> inbox
@@ -56,6 +60,21 @@ module type TRANSPORT = sig
   val set_memory : int -> unit
   val add_memory : int -> unit
   val dead_ports : unit -> (int * string) list
+end
+
+(* A wake-up's deliveries as records [port; payload x M.slots] in one slab,
+   read in place: the layout both transports hand their vertices. *)
+module Inbox (M : MESSAGE) = struct
+  let stride = 1 + M.slots
+  let count s = Slab.length s / stride
+  let port s i = Slab.get s (i * stride)
+  let msg s i = M.decode s ((i * stride) + 1)
+  let slot s i j = Slab.get s ((i * stride) + 1 + j)
+
+  let add s p =
+    let b = Slab.alloc s stride in
+    Slab.set s b p;
+    b + 1
 end
 
 (* Growable int vector; the event scheduler's worklists. *)
@@ -122,33 +141,44 @@ module Make (M : MESSAGE) = struct
     weights : float array;
   }
 
-  type inbox = (int * M.t) list
-
   (* Record layouts. Messages live as flat int records in slabs from the
-     moment they are sent to the moment the receiving program reads its
-     inbox; [M.encode]/[M.decode] at those two boundaries are the only
+     moment they are sent to the moment the receiving program asks for one
+     ([msg]); [M.encode]/[M.decode] at those two boundaries are the only
      places a boxed message exists.
 
-     - inbuf record (per-vertex buffer): [port; payload x M.slots]
+     - inbuf record (per-vertex buffer, and the vertex's inbox view):
+       [port; payload x M.slots]
      - outbox record (per-domain transit, and fault-delayed messages parked
        until they land): [dst; port; payload x M.slots] *)
+  module Ib = Inbox (M)
+
+  type inbox = Slab.t
+
+  let count = Ib.count
+  let port = Ib.port
+  let msg = Ib.msg
+  let slot = Ib.slot
   let islots = M.slots
-  let istride = 1 + islots
+  let istride = Ib.stride
   let ostride = 2 + islots
 
+  (* What a suspended vertex waits for; the deadline of [K_at] and
+     [K_msg_or_at] sits beside it in the node state, so parking allocates
+     nothing. *)
+  type kind = K_now | K_msg | K_at | K_msg_or_at
+
   (* Only the blocking operations suspend the vertex's fiber, so only they
-     are effects. The non-blocking primitives (send, round, memory
-     accounting) dispatch through a domain-local ops record instead:
-     performing an effect costs a continuation capture plus allocation, and
-     sends outnumber suspensions roughly ten to one on the tree-routing
-     workloads. [run] installs one ops record per scheduler domain. *)
-  type _ Effect.t +=
-    | Sync : inbox Effect.t
-    | Wait : inbox Effect.t
-    | Sleep_until : int -> inbox Effect.t
-    | Wait_until : int -> inbox Effect.t
+     are effects, and they share one payload-free effect: the blocking call
+     first parks its kind and deadline in the running vertex's state
+     through the ops record. The non-blocking primitives (send, round,
+     memory accounting) dispatch through that domain-local ops record alone:
+     performing an effect costs a continuation capture, and sends outnumber
+     suspensions roughly ten to one on the tree-routing workloads. [run]
+     installs one ops record per scheduler domain. *)
+  type _ Effect.t += Block : inbox Effect.t
 
   type ops = {
+    op_park : kind -> int -> unit;
     op_send : int -> M.t -> unit;
     op_round : unit -> int;
     op_set_memory : int -> unit;
@@ -160,6 +190,7 @@ module Make (M : MESSAGE) = struct
 
   let outside_ops =
     {
+      op_park = (fun _ _ -> ops_outside ());
       op_send = (fun _ _ -> ops_outside ());
       op_round = (fun () -> ops_outside ());
       op_set_memory = (fun _ -> ops_outside ());
@@ -174,10 +205,15 @@ module Make (M : MESSAGE) = struct
   let dls_ops : ops Domain.DLS.key = Domain.DLS.new_key (fun () -> outside_ops)
 
   let send p m = (Domain.DLS.get dls_ops).op_send p m
-  let sync () = Effect.perform Sync
-  let wait () = Effect.perform Wait
-  let sleep_until r = Effect.perform (Sleep_until r)
-  let wait_until r = Effect.perform (Wait_until r)
+
+  let block kind r =
+    (Domain.DLS.get dls_ops).op_park kind r;
+    Effect.perform Block
+
+  let sync () = block K_now 0
+  let wait () = block K_msg 0
+  let sleep_until r = block K_at r
+  let wait_until r = block K_msg_or_at r
   let round () = (Domain.DLS.get dls_ops).op_round ()
   let set_memory w = (Domain.DLS.get dls_ops).op_set_memory w
   let add_memory d = (Domain.DLS.get dls_ops).op_add_memory d
@@ -187,6 +223,10 @@ module Make (M : MESSAGE) = struct
     type msg = M.t
     type nonrec inbox = inbox
 
+    let count = count
+    let port = port
+    let msg = msg
+    let slot = slot
     let send = send
     let sync = sync
     let wait = wait
@@ -204,8 +244,11 @@ module Make (M : MESSAGE) = struct
     mutable cont : (inbox, unit) Effect.Deep.continuation option;
     mutable started : bool;
     mutable crashed : bool;
-    mutable wake : wake;
-    inbuf : Slab.t;  (* delivered, readable records in arrival order *)
+    mutable kind : kind;
+    mutable deadline : int;  (* of [K_at] / [K_msg_or_at] *)
+    inbuf : Slab.t;
+        (* records delivered since the last suspension, in arrival order;
+           while the vertex runs, the view its blocking call returned *)
     recv_scratch : int array;  (* per-port counters for the delivery sort *)
     mutable mem_words : int;
     sent_count : int array;
@@ -220,7 +263,8 @@ module Make (M : MESSAGE) = struct
       cont = None;
       started = false;
       crashed = false;
-      wake = Now;
+      kind = K_now;
+      deadline = 0;
       inbuf = Slab.create ();
       recv_scratch = [||];
       mem_words = 0;
@@ -316,7 +360,8 @@ module Make (M : MESSAGE) = struct
             cont = None;
             started = false;
             crashed = false;
-            wake = Now;
+            kind = K_now;
+            deadline = 0;
             inbuf = Slab.create ();
             recv_scratch = Array.make (Graph.degree g v) 0;
             mem_words = 0;
@@ -511,76 +556,45 @@ module Make (M : MESSAGE) = struct
           emit dc.dl.(((land_ mod dslots) * nd) + owner.(u)) u q m;
           if land_ > dc.dl_hi then dc.dl_hi <- land_)
     in
+    (* One handler per fiber, its closures built when the fiber starts. A
+       suspension first expires the view the last wake-up handed out: no
+       delivery lands while a vertex runs (deliveries happen between the
+       execute phases), so the inbuf then holds exactly that view's records,
+       and it is empty again when the vertex parks. *)
     let handler dc (st : node_state) : (unit, unit) Effect.Deep.handler =
+      let on_block =
+        Some
+          (fun (k : (inbox, unit) Effect.Deep.continuation) ->
+            st.cont <- Some k;
+            Slab.clear st.inbuf;
+            match st.kind with
+            | K_now ->
+              st.timer_at <- -1;
+              if evt then begin
+                st.queued_at <- !cur_round + 1;
+                ivec_push dc.ready_next st.id
+              end
+            | K_msg -> st.timer_at <- -1
+            | K_at | K_msg_or_at ->
+              if evt then begin
+                let eff_r = max st.deadline (!cur_round + 1) in
+                st.timer_at <- eff_r;
+                Pqueue.Int_heap.push dc.timers ~key:eff_r st.id
+              end)
+      in
       {
         retc =
           (fun () ->
             st.cont <- None;
+            Slab.clear st.inbuf;
             dc.dlive <- dc.dlive - 1);
         exnc = (fun e -> raise e);
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Sync ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  st.cont <- Some k;
-                  st.wake <- Now;
-                  st.timer_at <- -1;
-                  if evt then begin
-                    st.queued_at <- !cur_round + 1;
-                    ivec_push dc.ready_next st.id
-                  end)
-            | Wait ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  st.cont <- Some k;
-                  st.wake <- On_message;
-                  st.timer_at <- -1;
-                  if evt && Slab.length st.inbuf > 0 then begin
-                    st.queued_at <- !cur_round + 1;
-                    ivec_push dc.ready_next st.id
-                  end)
-            | Sleep_until r ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  st.cont <- Some k;
-                  st.wake <- At r;
-                  if evt then begin
-                    let eff_r = max r (!cur_round + 1) in
-                    st.timer_at <- eff_r;
-                    Pqueue.Int_heap.push dc.timers ~key:eff_r st.id
-                  end)
-            | Wait_until r ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  st.cont <- Some k;
-                  st.wake <- Msg_or_at r;
-                  if evt then
-                    if Slab.length st.inbuf > 0 then begin
-                      st.timer_at <- -1;
-                      st.queued_at <- !cur_round + 1;
-                      ivec_push dc.ready_next st.id
-                    end
-                    else begin
-                      let eff_r = max r (!cur_round + 1) in
-                      st.timer_at <- eff_r;
-                      Pqueue.Int_heap.push dc.timers ~key:eff_r st.id
-                    end)
+            | Block -> (on_block : ((a, unit) Effect.Deep.continuation -> unit) option)
             | _ -> None);
       }
-    in
-    (* decode boundary: materialise the protocol-visible inbox *)
-    let take_inbox st =
-      let q = st.inbuf in
-      let nrec = Slab.length q / istride in
-      let ib = ref [] in
-      for i = nrec - 1 downto 0 do
-        let base = i * istride in
-        ib := (Slab.get q base, M.decode q (base + 1)) :: !ib
-      done;
-      Slab.clear q;
-      !ib
     in
     let start dc st =
       st.started <- true;
@@ -605,19 +619,19 @@ module Make (M : MESSAGE) = struct
         dc.wake_count <- dc.wake_count + 1;
         dc.dmetrics.Metrics.wakeups <- dc.dmetrics.Metrics.wakeups + 1;
         dc.drunning <- st;
-        Effect.Deep.continue k (take_inbox st)
+        Effect.Deep.continue k st.inbuf
     in
     (* Wake a vertex blocked on messages ([wait]/[wait_until]) for round
        [r]; [queued_at] dedups against a same-round worklist entry. *)
     let push_msg_wakeup wl r stu =
       if stu.cont <> None then
-        match stu.wake with
-        | On_message | Msg_or_at _ ->
+        match stu.kind with
+        | K_msg | K_msg_or_at ->
           if stu.queued_at < r then begin
             stu.queued_at <- r;
             ivec_push wl stu.id
           end
-        | Now | At _ -> ()
+        | K_now | K_at -> ()
     in
     (* the records source domain e holds for domain dom's vertices: its
        outbox when [slot] < 0, else its fault-delayed records of that slot *)
@@ -797,13 +811,20 @@ module Make (M : MESSAGE) = struct
     in
     (* one bounded pass over the states: total stuck count plus the first
        ten, in id order — no full intermediate list *)
+    let wake_of st =
+      match st.kind with
+      | K_now -> Now
+      | K_msg -> On_message
+      | K_at -> At st.deadline
+      | K_msg_or_at -> Msg_or_at st.deadline
+    in
     let deadlock_report () =
       let total = ref 0 and sample = ref [] in
       Array.iter
         (fun st ->
           if not (finished st) then begin
             incr total;
-            if !total <= 10 then sample := (st.id, st.wake) :: !sample
+            if !total <= 10 then sample := (st.id, wake_of st) :: !sample
           end)
         states;
       { total = !total; stuck = List.rev !sample }
@@ -811,11 +832,11 @@ module Make (M : MESSAGE) = struct
     let runnable st r =
       st.cont <> None
       &&
-      match st.wake with
-      | Now -> true
-      | On_message -> Slab.length st.inbuf > 0
-      | At r' -> r' <= r
-      | Msg_or_at r' -> Slab.length st.inbuf > 0 || r' <= r
+      match st.kind with
+      | K_now -> true
+      | K_msg -> Slab.length st.inbuf > 0
+      | K_at -> st.deadline <= r
+      | K_msg_or_at -> Slab.length st.inbuf > 0 || st.deadline <= r
     in
     (* --- reference scheduler: the seed's per-round O(n) scan loop --- *)
     let rec scan_loop () =
@@ -833,10 +854,10 @@ module Make (M : MESSAGE) = struct
               all_done := false;
               if runnable st r then any_runnable := true
               else begin
-                (match st.wake with
-                | (At r' | Msg_or_at r') when st.cont <> None ->
-                  min_at := min !min_at r'
-                | _ -> ());
+                (match st.kind with
+                | (K_at | K_msg_or_at) when st.cont <> None ->
+                  min_at := min !min_at st.deadline
+                | K_now | K_msg | K_at | K_msg_or_at -> ());
                 match crash_at.(st.id) with
                 | Some cr -> min_at := min !min_at cr
                 | None -> ()
@@ -976,6 +997,11 @@ module Make (M : MESSAGE) = struct
        domain-local slot. *)
     let ops_of dc =
       {
+        op_park =
+          (fun kind r ->
+            let st = dc.drunning in
+            st.kind <- kind;
+            st.deadline <- r);
         op_send = (fun p m -> do_send dc dc.drunning p m);
         op_round = (fun () -> !cur_round);
         op_set_memory =

@@ -49,6 +49,14 @@ let push t x =
 
 let clear t = t.len <- 0
 
+let shift t k =
+  if k < 0 || k > t.len then invalid_arg "Slab.shift: range out of bounds";
+  let d = t.data in
+  for i = 0 to t.len - k - 1 do
+    Bigarray.Array1.unsafe_set d i (Bigarray.Array1.unsafe_get d (k + i))
+  done;
+  t.len <- t.len - k
+
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   if
     len < 0 || src_pos < 0 || dst_pos < 0

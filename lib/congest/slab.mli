@@ -34,6 +34,10 @@ val push : t -> int -> unit
 val clear : t -> unit
 (** Forget the contents; capacity is retained. *)
 
+val shift : t -> int -> unit
+(** [shift t k] drops the first [k] ints and moves the rest to the front —
+    popping a FIFO of records without a head index. *)
+
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** Copy [len] ints between slabs (or within one); ranges must be within
     [length] of their slabs. *)

@@ -524,7 +524,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
     let stagger_window w =
       if stagger then Random.State.int myrng (max 1 w) else 0
     in
-    let handle (port, m) =
+    let handle port m =
       match m with
       | Hello { is_u } ->
         if is_u then incr virtual_children else incr local_children
@@ -839,7 +839,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
       end
     in
     let dead_seen = ref [] in
-    let check_dead () =
+    let check_dead dead =
       List.iter
         (fun (p, why) ->
           if not (List.mem p !dead_seen) then begin
@@ -854,7 +854,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
               finished := true
             end
           end)
-        (T.dead_ports ())
+        dead
     in
     (* round 0: children announce; schedule fixed early actions *)
     phase "setup";
@@ -868,20 +868,22 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
       if Queue.is_empty upq && Queue.is_empty downq && Queue.is_empty streamq then a
       else min a (T.round () + 1)
     in
+    let rec run_due () =
+      match !agenda with
+      | (r, a) :: rest when r <= T.round () ->
+        agenda := rest;
+        run_action a;
+        run_due ()
+      | _ -> ()
+    in
     let rec loop () =
       if not !finished then begin
         let dl = next_deadline () in
-        let inbox = if dl = max_int then T.wait () else T.wait_until dl in
-        List.iter handle inbox;
-        check_dead ();
-        let rec run_due () =
-          match !agenda with
-          | (r, a) :: rest when r <= T.round () ->
-            agenda := rest;
-            run_action a;
-            run_due ()
-          | _ -> ()
-        in
+        let ib = if dl = max_int then T.wait () else T.wait_until dl in
+        for i = 0 to T.count ib - 1 do
+          handle (T.port ib i) (T.msg ib i)
+        done;
+        (match T.dead_ports () with [] -> () | dead -> check_dead dead);
         run_due ();
         relay ();
         update_mem ();

@@ -21,6 +21,10 @@ end
 module S = Congest.Sim.Make (Imsg)
 module R = Congest.Reliable.Make (Imsg)
 
+(* an inbox view as [(port, message)] pairs, decoded before the next
+   blocking call expires it *)
+let to_list ib = List.init (S.count ib) (fun i -> (S.port ib i, S.msg ib i))
+
 (* A quick transport config so dead-link detection happens in tens, not
    thousands, of rounds. Only safe when faults are deterministic (crashes,
    link cuts): under random drops, 4 transmissions of a frame can all be lost
@@ -95,10 +99,10 @@ let test_link_failure () =
         ignore (S.sync ())
       done
     else begin
-      let inbox = S.wait_until 20 in
+      let inbox = to_list (S.wait_until 20) in
       let rec drain acc inbox =
         let acc = acc @ List.map snd inbox in
-        if S.round () >= 20 then acc else drain acc (S.wait_until 20)
+        if S.round () >= 20 then acc else drain acc (to_list (S.wait_until 20))
       in
       got := drain [] inbox
     end
@@ -302,8 +306,8 @@ let test_reliable_stream () =
     else begin
       let acc = ref [] in
       while List.length !acc < tokens do
-        let inbox = T.wait () in
-        acc := !acc @ List.map snd inbox
+        let ib = T.wait () in
+        acc := !acc @ List.init (T.count ib) (T.msg ib)
       done;
       got := !acc;
       Alcotest.(check (list int)) "no dead links" [] (List.map fst (T.dead_ports ()))
@@ -338,8 +342,8 @@ let test_reliable_round_alignment () =
       ignore (T.sync ())
     end
     else begin
-      let inbox = T.wait () in
-      assert (List.exists (fun (_, m) -> m = 99) inbox);
+      let ib = T.wait () in
+      assert (List.exists (fun i -> T.msg ib i = 99) (List.init (T.count ib) Fun.id));
       arrived_vr := T.round ()
     end
   in
@@ -361,7 +365,10 @@ let test_reliable_sleep_until () =
      and send on every port for ten rounds *)
   let body ((module T) : (module CS.TRANSPORT with type msg = int)) ~me ~deg
       got =
-    if me mod 2 = 0 then got.(me) <- T.sleep_until 14
+    if me mod 2 = 0 then begin
+      let ib = T.sleep_until 14 in
+      got.(me) <- List.init (T.count ib) (fun i -> (T.port ib i, T.msg ib i))
+    end
     else
       for r = 0 to 9 do
         for p = 0 to deg - 1 do

@@ -20,6 +20,10 @@ end
 
 module S = Congest.Sim.Make (Imsg)
 
+(* an inbox view as [(port, message)] pairs, decoded before the next
+   blocking call expires it *)
+let to_list ib = List.init (S.count ib) (fun i -> (S.port ib i, S.msg ib i))
+
 (* One JSON string captures outcome + every metric incl. histograms; string
    equality is the bit-identical bar. *)
 let fingerprint (r : CS.report) = Export.Json.to_string (Export.report r)
@@ -217,7 +221,7 @@ let test_timer_message_tie () =
           S.send 0 42 (* lands exactly at the peer's round-5 deadline *)
         end
         else begin
-          let inbox = S.wait_until 5 in
+          let inbox = to_list (S.wait_until 5) in
           woke := S.round ();
           got := List.map snd inbox
         end
