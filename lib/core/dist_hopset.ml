@@ -220,7 +220,14 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
       let relay_prop : (int, float * int * int * int) Hashtbl.t = Hashtbl.create 4 in
       let rec_prop : (int, float * int) Hashtbl.t = Hashtbl.create 4 in
       let rec0 : (int, float) Hashtbl.t = Hashtbl.create 4 in
+      (* one-hop forwards waiting for the next barrier, newest first, and
+         their count: the engine reads [words] on every wake-up *)
       let pending : (int * Superstep.msg) list ref = ref [] in
+      let n_pending = ref 0 in
+      let clear_pending () =
+        pending := [];
+        n_pending := 0
+      in
       let relay_words = (3 * List.length a.inc.(me)) + (2 * Hashtbl.length succ) in
       let words () =
         16 + Array.length my_dhat + relay_words
@@ -228,7 +235,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
         + (4 * Hashtbl.length relay_prop)
         + (2 * Hashtbl.length rec_prop)
         + (2 * Hashtbl.length rec0)
-        + (5 * List.length !pending)
+        + (5 * !n_pending)
       in
       let enqueue_all = Superstep.enqueue_all ctx in
       (* barrier snapshot: wave segments offer dirty entries (subject to the
@@ -256,14 +263,16 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
               table)
         | KRelay | KRecover ->
           let ps = !pending in
-          pending := [];
+          clear_pending ();
           List.iter (fun (p, msg) -> Superstep.enqueue ctx p msg) ps
       in
       let fwd_pending ei dir m =
         match Hashtbl.find_opt succ ((2 * ei) + dir) with
         | Some nxt -> (
           match Hashtbl.find_opt port_of nxt with
-          | Some p -> pending := (p, m) :: !pending
+          | Some p ->
+            pending := (p, m) :: !pending;
+            incr n_pending
           | None ->
             Superstep.fail ctx
               (Harvest { vertex = me; reason = Printf.sprintf "relay next hop %d not adjacent" nxt }))
@@ -357,7 +366,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
                   Hashtbl.add table w e)
               relay_prop);
           Hashtbl.reset relay_prop;
-          pending := []
+          clear_pending ()
         | KRecover ->
           Hashtbl.iter
             (fun w (acc, prev) ->
@@ -383,7 +392,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
             rec_prop;
           Hashtbl.reset rec_prop;
           Hashtbl.reset rec0;
-          pending := []
+          clear_pending ()
       in
       let finalize_phase () =
         match phase_kind a (Superstep.phase ctx) with
