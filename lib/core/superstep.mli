@@ -15,10 +15,11 @@
     Two timing invariants make phase and superstep tags unnecessary on
     data: the root defers each end-of-superstep decision by one round, so
     an Advance/Next reaches any vertex strictly after every data message of
-    the superstep it closes; and each inbox is handled control first, since
-    data sharing an inbox with the barrier that opens its superstep comes
-    from a one-round-shallower neighbour. DESIGN.md §16 gives the
-    argument. *)
+    the superstep it closes; and each vertex handles its BFS parent's
+    Advance/Next records before the rest of its inbox, since data sharing
+    an inbox with the barrier that opens its superstep comes from a
+    one-round-shallower neighbour. The inbox is read in place and each
+    record decoded once. DESIGN.md §16 gives the argument. *)
 
 type failure =
   | Setup_timeout of { vertex : int; round : int }
