@@ -445,6 +445,90 @@ let test_pin_dyn () =
       (0.0, "4b68363ec52779e5c88e043896759732", (49, 2831, 60));
     ]
 
+(* ---------- cost pins ---------- *)
+
+(* A scheme's accounting: total rounds, peak words, a digest of every cost
+   phase's (name, detail, rounds, peak words) in order, and a digest of the
+   per-vertex final-state words. A digest mismatch prints the phases. *)
+let check_cost what (rounds, peak, phases_digest, memory_digest) s =
+  let cost = Routing.Scheme.cost s in
+  let rows =
+    List.map
+      (fun (p : Routing.Cost.phase) ->
+        Printf.sprintf "%s\t%s\t%d\t%d" p.name p.detail p.rounds p.peak_memory)
+      (Routing.Cost.phases cost)
+  in
+  let digest l = Digest.to_hex (Digest.string (String.concat "\n" l)) in
+  Alcotest.(check int) (what ^ " total rounds") rounds (Routing.Cost.total_rounds cost);
+  Alcotest.(check int) (what ^ " peak_memory_words") peak
+    (Routing.Scheme.peak_memory_words s);
+  if digest rows <> phases_digest then
+    Alcotest.failf "%s phases digest %s, expected %s; phases:\n%s" what
+      (digest rows) phases_digest (String.concat "\n" rows);
+  Alcotest.(check string) (what ^ " per-vertex memory digest") memory_digest
+    (digest
+       (Array.to_list
+          (Array.map string_of_int (Routing.Scheme.per_vertex_memory s))))
+
+(* the Scheme.build instances of test_pin_scheme_build *)
+let test_cost_scheme_build () =
+  let er = workload ~seed:41 ~n:100 () in
+  let grid =
+    Gen.grid ~rng:(rng 43) ~weights:(Gen.uniform_weights 1.0 4.0) ~rows:9
+      ~cols:9 ()
+  in
+  List.iter
+    (fun (what, g, k, expected) ->
+      check_cost (Printf.sprintf "%s k=%d" what k) expected
+        (build ~seed:(43 + k) ~k g))
+    [
+      ("er", er, 2,
+       (3217, 355, "727759fb0206ba2426423a939e89fad6",
+        "8fe03c51717c35e918ed5555da7fe3db") );
+      ("er", er, 3,
+       (5002, 202, "703d906abd3fab9229ece7ef0340c229",
+        "8b8fc77fc0b4627b6a27a564b70c3a27") );
+      ("er", er, 4,
+       (4683, 171, "f791c4707fcc3924ff12af8b4785b280",
+        "ea720360cbeeaa33b9423766539bb603") );
+      ("er", er, 5,
+       (8439, 200, "21dfd5a678f054d978b61e24f76bb888",
+        "23d0f8d7862b92507f9672adbb4a8831") );
+      ("grid", grid, 2,
+       (2834, 239, "fbdca62d8b526cc4f186eb64aebb7398",
+        "17965fb2174390ae3535758ef3c22560") );
+      ("grid", grid, 3,
+       (5533, 161, "de42c40bfe984eeb244cbf19be09f4bf",
+        "9fb37e7e565d7395564eb60c7b097874") );
+      ("grid", grid, 4,
+       (4210, 169, "3f8d64f4f3e650a1fb57a734df8346ed",
+        "c240988385939341f9dc8daf76884b40") );
+      ("grid", grid, 5,
+       (7646, 123, "32746663bb8c364a54a5b74071efb6e5",
+        "88b7ce10b1e009eb48bf115c5b12d835") );
+    ]
+
+(* the Pipeline.run and Dist_scheme.build_scheme instances of
+   test_pin_distributed *)
+let test_cost_distributed () =
+  let rng91 seed = Random.State.make [| seed; 91 |] in
+  let g = Gen.grid ~rng:(rng91 70) ~rows:6 ~cols:6 () in
+  let p = Routing.Pipeline.run ~rng:(rng91 71) ~k:3 ~max_rounds:500_000 g in
+  (match p.Routing.Pipeline.scheme with
+  | Some s ->
+    check_cost "Pipeline.run"
+      (7594, 620, "e9f73971ac92e7cf0b8b59a803a32b6e",
+       "8022f44ca9e0f80d756c905469baf49e")
+      s
+  | None -> Alcotest.fail "Pipeline.run spliced no scheme");
+  let g = Gen.grid ~rng:(rng 47) ~rows:7 ~cols:7 () in
+  let r = rng 48 in
+  let o = Routing.Dist_scheme.run ~rng:r ~k:4 ~max_rounds:500_000 g in
+  check_cost "Dist_scheme.build_scheme"
+    (3606, 120, "8717ade1c5562c6ca165f0da88e21746",
+     "65463f688020d162c4440298de592163")
+    (Routing.Dist_scheme.build_scheme ~rng:r g o)
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -491,6 +575,8 @@ let () =
           Alcotest.test_case "distributed routers" `Quick test_pin_distributed;
           Alcotest.test_case "Graph_routing.build router" `Quick test_pin_tz;
           Alcotest.test_case "Dyn_scheme routers" `Quick test_pin_dyn;
+          Alcotest.test_case "Scheme.build costs" `Quick test_cost_scheme_build;
+          Alcotest.test_case "distributed costs" `Quick test_cost_distributed;
         ] );
       qsuite "properties" [ prop_delivery ];
     ]
