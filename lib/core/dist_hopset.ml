@@ -576,44 +576,46 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
         for j = k - 1 downto ih + 1 do
           pivot_estimates := (j, (pe_dist.(j), pe_org.(j))) :: !pivot_estimates
         done;
-        let waves : (int, Scheme.Upper_stage.cluster_wave) Hashtbl.t =
-          Hashtbl.create 64
-        in
+        (* regroup the members' cluster deposits by owner *)
+        let candidates = Hashtbl.create 64 in
         for w = 0 to n - 1 do
           if xlevels.(w) >= ih then
-            Hashtbl.replace waves w
-              {
-                Scheme.Upper_stage.owner = w;
-                level = xlevels.(w);
-                cdist = Array.make n infinity;
-                cparent = Array.make n (-1);
-                joined = Array.make n false;
-              }
+            Hashtbl.replace candidates w
+              (Array.make n infinity, Array.make n (-1), Array.make n false)
         done;
         Array.iteri
           (fun v entries ->
             List.iter
               (fun (w, d, par, joined) ->
-                match Hashtbl.find_opt waves w with
-                | Some cw ->
-                  cw.Scheme.Upper_stage.cdist.(v) <- d;
-                  cw.Scheme.Upper_stage.cparent.(v) <- par;
-                  cw.Scheme.Upper_stage.joined.(v) <- joined
+                match Hashtbl.find_opt candidates w with
+                | Some (cdist, cparent, cjoined) ->
+                  cdist.(v) <- d;
+                  cparent.(v) <- par;
+                  cjoined.(v) <- joined
                 | None ->
                   post := Harvest { vertex = v; reason = Printf.sprintf "cluster deposit for non-owner %d" w } :: !post)
               entries)
           cl_local;
         let cluster_waves = ref [] in
-        for w = n - 1 downto 0 do
-          match Hashtbl.find_opt waves w with
-          | Some cw -> cluster_waves := cw :: !cluster_waves
-          | None -> ()
+        for i = ih to k - 1 do
+          let limits = Scheme.Upper_stage.limits ~n !pivot_estimates i in
+          for w = 0 to n - 1 do
+            if xlevels.(w) = i then begin
+              let cdist, cparent, joined = Hashtbl.find candidates w in
+              cluster_waves :=
+                Scheme.Upper_stage.of_candidates ~epsilon ~limits g ~level:i
+                  ~owner:w ~cdist ~cparent ~joined
+                :: !cluster_waves
+            end
+          done
         done;
         let upper =
           {
-            Scheme.Upper_stage.hopset_edges = Array.to_list edges;
+            Scheme.Upper_stage.hopset;
+            epsilon;
+            beta;
             pivot_estimates = !pivot_estimates;
-            cluster_waves = !cluster_waves;
+            cluster_waves = List.rev !cluster_waves;
             phases = { Cost.phases = List.rev !all_phases };
           }
         in
@@ -662,20 +664,14 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
       err "bunch field of w'=%d: distributed wave differs from truncated Dijkstra"
         mv.(jw)
   in
-  (match mode with
-  | Dist_scheme.Exact ->
-    for jw = 0 to m - 1 do
-      check_bunch jw
-    done
-  | Dist_scheme.Sampled { sample; seed } ->
-    let srng = Random.State.make [| seed; n; 17 |] in
-    List.iter check_bunch (Dist_scheme.sample_indices srng m sample));
+  List.iter check_bunch
+    (Dist_scheme.gate_indices mode ~salt:(fun seed -> [| seed; n; 17 |]) m);
   (match o.upper with
   | None -> ()
   | Some u ->
     (* hopset edge list: in exact mode re-assembled from the centralized
        fields and compared edge-for-edge; in sampled mode the distributed
-       edge list (whose fields were spot-checked above) seeds the run-B
+       hopset (whose fields were spot-checked above) seeds the run-B
        reference directly *)
     let hopset =
       match mode with
@@ -683,7 +679,7 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
         let cf = Construct.compute_fields g mv ~lambda:o.lambda ~levels:hlevels in
         let ch = Construct.assemble vg cf in
         let ce = Hopset.edges ch in
-        let de = Array.of_list u.Scheme.Upper_stage.hopset_edges in
+        let de = Hopset.edges u.Scheme.Upper_stage.hopset in
         if Array.length ce <> Array.length de then
           err "hopset size: distributed %d, centralized %d" (Array.length de)
             (Array.length ce)
@@ -691,25 +687,20 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
           Array.iteri
             (fun i (c : Hopset.edge) ->
               let d = de.(i) in
-              if
-                c.Hopset.x <> d.Hopset.x || c.Hopset.y <> d.Hopset.y
-                || c.Hopset.w <> d.Hopset.w
-                || c.Hopset.path <> d.Hopset.path
-              then err "hopset edge %d differs ({%d,%d} vs {%d,%d})" i d.Hopset.x d.Hopset.y c.Hopset.x c.Hopset.y)
+              if c <> d then
+                err "hopset edge %d differs ({%d,%d} vs {%d,%d})" i d.Hopset.x d.Hopset.y c.Hopset.x c.Hopset.y)
             ce;
         ch
-      | Dist_scheme.Sampled _ -> Hopset.make vg u.Scheme.Upper_stage.hopset_edges
+      | Dist_scheme.Sampled _ -> u.Scheme.Upper_stage.hopset
     in
     (* approximate pivots: always exact — one run per high level is cheap *)
-    let est = Hashtbl.create 8 in
-    for j = o.ih + 1 to o.k - 1 do
-      let srcs = ref [] in
-      for v = n - 1 downto 0 do
-        if o.xlevels.(v) >= j then srcs := (v, 0.0) :: !srcs
-      done;
-      if !srcs <> [] then begin
-        let dist, _, origin = Hopset.run_attributed hopset ~sources:!srcs ~beta:o.beta in
-        Hashtbl.replace est j dist;
+    let estimates =
+      List.init (o.k - 1 - o.ih) (fun p ->
+          let j = o.ih + 1 + p in
+          (j, Scheme.Upper_stage.pivot_estimate hopset ~beta:o.beta ~levels:o.xlevels j))
+    in
+    List.iter
+      (fun (j, (dist, origin)) ->
         match List.assoc_opt j u.Scheme.Upper_stage.pivot_estimates with
         | None -> err "missing pivot estimates for level %d" j
         | Some (dd, dorg) ->
@@ -719,17 +710,8 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
             if origin.(v) <> dorg.(v) then
               err "approx pivot_%d(v%d): distributed %d, centralized %d" j v
                 dorg.(v) origin.(v)
-          done
-      end
-    done;
-    let inf_arr = lazy (Array.make n infinity) in
-    let dhat j =
-      if j >= o.k then Lazy.force inf_arr
-      else
-        match Hashtbl.find_opt est j with
-        | Some d -> d
-        | None -> Lazy.force inf_arr
-    in
+          done)
+      estimates;
     (* cluster waves: one limited exploration + recovery + final wave per
        owner — the run-B blocker worth sampling *)
     let owners = ref [] in
@@ -740,10 +722,10 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
     done;
     let owners = Array.of_list !owners in
     let check_owner (i, w) =
-      let limits = dhat (i + 1) in
-      let _, _, cdist, cparent, joined =
-        Scheme.approx_cluster_candidates ~hopset ~vg ~epsilon:o.epsilon
-          ~beta:o.beta ~limits g ~owner:w
+      let c =
+        Scheme.Upper_stage.wave ~hopset ~epsilon:o.epsilon ~beta:o.beta
+          ~limits:(Scheme.Upper_stage.limits ~n estimates i)
+          g ~level:i ~owner:w
       in
       match
         List.find_opt
@@ -754,33 +736,30 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
       | None -> err "missing cluster wave of owner %d (level %d)" w i
       | Some cw ->
         for v = 0 to n - 1 do
-          if cw.Scheme.Upper_stage.cdist.(v) <> cdist.(v) then
+          if cw.Scheme.Upper_stage.cdist.(v) <> c.Scheme.Upper_stage.cdist.(v) then
             err "cluster %d: cdist(v%d) distributed %h, centralized %h" w v
-              cw.Scheme.Upper_stage.cdist.(v) cdist.(v);
-          if cw.Scheme.Upper_stage.cparent.(v) <> cparent.(v) then
+              cw.Scheme.Upper_stage.cdist.(v) c.Scheme.Upper_stage.cdist.(v);
+          if cw.Scheme.Upper_stage.cparent.(v) <> c.Scheme.Upper_stage.cparent.(v) then
             err "cluster %d: cparent(v%d) distributed %d, centralized %d" w v
-              cw.Scheme.Upper_stage.cparent.(v) cparent.(v);
-          if cw.Scheme.Upper_stage.joined.(v) <> joined.(v) then
+              cw.Scheme.Upper_stage.cparent.(v) c.Scheme.Upper_stage.cparent.(v);
+          if cw.Scheme.Upper_stage.joined.(v) <> c.Scheme.Upper_stage.joined.(v) then
             err "cluster %d: joined(v%d) differs" w v
-        done
+        done;
+        if cw.Scheme.Upper_stage.tree <> c.Scheme.Upper_stage.tree then
+          err "cluster %d: pruned tree differs" w
     in
-    (match mode with
-    | Dist_scheme.Exact -> Array.iter check_owner owners
-    | Dist_scheme.Sampled { sample; seed } ->
-      let srng = Random.State.make [| seed; n; 19 |] in
-      List.iter
-        (fun i -> check_owner owners.(i))
-        (Dist_scheme.sample_indices srng (Array.length owners) sample)));
+    List.iter
+      (fun i -> check_owner owners.(i))
+      (Dist_scheme.gate_indices mode
+         ~salt:(fun seed -> [| seed; n; 19 |])
+         (Array.length owners)));
   List.rev !errs
 
-let build_scheme ~rng g (ds : Dist_scheme.outcome) (o : outcome) =
-  let params =
-    {
-      Scheme.Params.b = Some ds.Dist_scheme.b;
-      lambda = o.lambda;
-      beta = Some o.beta;
-      epsilon = o.epsilon;
-    }
-  in
-  Scheme.build_from_exact ~rng ~params ?upper:o.upper
-    ~exact:ds.Dist_scheme.exact g
+let build_scheme ~rng:_ g (ds : Dist_scheme.outcome) (o : outcome) =
+  match (ds.Dist_scheme.failures, o.failures, o.upper) with
+  | [], [], Some upper -> Scheme.build_from_exact ~exact:ds.Dist_scheme.exact ~upper g
+  | f :: _, _, _ ->
+    invalid_arg ("Dist_hopset.build_scheme: exact stage failed: " ^ failure_to_string f)
+  | [], f :: _, _ ->
+    invalid_arg ("Dist_hopset.build_scheme: upper stage failed: " ^ failure_to_string f)
+  | [], [], None -> invalid_arg "Dist_hopset.build_scheme: no upper stage"

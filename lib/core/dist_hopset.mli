@@ -1,16 +1,16 @@
 (** Appendix B's upper stage as a real CONGEST protocol.
 
-    {!Scheme.build_from_exact} computes the hopset construction and the
+    {!Scheme.Upper_stage.compute} computes the hopset construction and the
     [β]-iteration approximate Bellman–Ford centrally and merely {e charges}
     rounds through {!Cost}. This module executes that stage
     message-by-message on the simulator — over either raw {!Congest.Sim} or
     {!Congest.Reliable}, the protocol body written once against
-    {!Congest.Sim.TRANSPORT} — and returns a {!Scheme.Upper_stage.t} whose
-    [phases] carry the {e measured} rounds and per-vertex memory.
-    Stacked on [Dist_scheme] (the exact stage) and spliced back through
-    {!Scheme.build_from_exact}[ ?upper], the entire Appendix B construction
-    runs as messages, end to end; {!Pipeline.run} chains the stages with
-    their gates.
+    {!Congest.Sim.TRANSPORT} — and returns the same {!Scheme.Upper_stage.t}
+    record, whose [phases] carry the {e measured} rounds and per-vertex
+    memory. Stacked on [Dist_scheme] (the exact stage) and spliced through
+    {!Scheme.build_from_exact}, the entire Appendix B construction runs as
+    messages, end to end; {!Pipeline.run} chains the stages with their
+    gates.
 
     Two {!Superstep} runs, the engine {!Dist_scheme} drives too:
 
@@ -37,8 +37,9 @@
       snapshot relaxation. Cluster phases append a {e recovery segment}
       (backward trigger to the feeding endpoint, forward accumulating walk,
       barrier commit by lex-min [(acc, prev)]) and a final [B]-budget
-      limited wave, mirroring {!Scheme.approx_cluster_candidates} clause
-      for clause.
+      limited wave, mirroring {!Scheme.Upper_stage.wave} clause for
+      clause. The harvest hands each owner's candidates to
+      {!Scheme.Upper_stage.of_candidates}, which builds its tree.
 
     Exactness notes: wave commits in run B are {e stamped} — within one
     superstep an equal value from a smaller sender displaces (matching the
@@ -48,7 +49,7 @@
     the last superstep's commits). The differential gate
     {!check_against_centralized} proves levels, level fields, bunch fields,
     the assembled edge list, pivot estimates with attributions and every
-    cluster wave (candidate distances, parents, recovery joins)
+    cluster wave (candidate distances, parents, recovery joins, tree)
     bit-identical to the centralized computation. *)
 
 (** The engine's typed failures, shared with {!Dist_scheme.failure}. *)
@@ -64,9 +65,8 @@ val pp_failure : Format.formatter -> failure -> unit
 
 type outcome = {
   upper : Scheme.Upper_stage.t option;
-      (** [Some] iff both runs completed cleanly: the value
-          {!Scheme.build_from_exact}[ ?upper] consumes, with {e measured}
-          phases *)
+      (** [Some] iff both runs completed cleanly: the record
+          {!Scheme.build_from_exact} splices, with {e measured} phases *)
   fields : Hopsets.Construct.fields;
       (** run A's harvested wave fixpoints (partial on failure) *)
   hopset : Hopsets.Hopset.t option;
@@ -118,9 +118,10 @@ val check_against_centralized :
     returned). Compares bit-for-bit: hopset levels, every per-level lex
     field, bunch fields, the assembled edge list (exact mode re-runs
     {!Hopsets.Construct.compute_fields}[ + assemble] and compares edge for
-    edge), every pivot-estimate array with its origin attribution, and
-    per-owner cluster waves (candidate distance, parent, recovery-join
-    flag) against {!Scheme.approx_cluster_candidates}. Empty = identical.
+    edge), every pivot-estimate array with its origin attribution against
+    {!Scheme.Upper_stage.pivot_estimate}, and per-owner cluster waves
+    (candidate distance, parent, recovery-join flag, tree) against
+    {!Scheme.Upper_stage.wave}. Empty = identical.
 
     [?mode] (default [Exact]) controls the per-member bunch fields and the
     per-owner cluster waves — the two Dijkstra-like-per-element blockers at
@@ -129,9 +130,10 @@ val check_against_centralized :
 
 val build_scheme :
   rng:Random.State.t -> Dgraph.Graph.t -> Dist_scheme.outcome -> outcome -> Scheme.t
-(** Splice both protocol outcomes into the full scheme
-    ({!Scheme.build_from_exact} with [?upper]): every upper-stage phase of
-    the cost carries measured spans. One construction phase stays
-    charged: "tree routing schemes", booked by Theorem 2's formula.
-    Parameters are pinned to what the protocols actually ran with ([b],
-    [lambda], [beta], [epsilon]); [rng] is not consumed. *)
+(** Splice both protocol outcomes' records ({!Scheme.build_from_exact}):
+    every upper-stage phase of the cost carries measured spans. One
+    construction phase stays charged: "tree routing schemes", booked by
+    Theorem 2's formula. [rng] is ignored; it stays in the signature for
+    the benchmark's call.
+    @raise Invalid_argument naming the first failure of either outcome: a
+    failed stage is never spliced, nor replaced by a centralized one. *)

@@ -313,10 +313,11 @@ let gate_mode_name = function
   | Sampled { sample; seed } ->
     Printf.sprintf "sampled(sample=%d,seed=%d)" sample seed
 
-(* [m] distinct indices from [0, total), seed-deterministic, ascending. *)
-let sample_indices srng total m =
-  if m >= total then List.init total Fun.id
-  else begin
+let gate_indices mode ~salt total =
+  match mode with
+  | Sampled { sample; seed } when sample < total ->
+    (* the first [sample] slots of a seeded Fisher–Yates shuffle *)
+    let srng = Random.State.make (salt seed) in
     let idx = Array.init total Fun.id in
     for i = total - 1 downto 1 do
       let j = Random.State.int srng (i + 1) in
@@ -324,8 +325,8 @@ let sample_indices srng total m =
       idx.(i) <- idx.(j);
       idx.(j) <- t
     done;
-    Array.sub idx 0 m |> Array.to_list |> List.sort compare
-  end
+    Array.sub idx 0 sample |> Array.to_list |> List.sort compare
+  | Exact | Sampled _ -> List.init total Fun.id
 
 let check_against_centralized ~rng ?(mode = Exact) g (o : outcome) =
   let errs = ref [] in
@@ -344,29 +345,7 @@ let check_against_centralized ~rng ?(mode = Exact) g (o : outcome) =
   (* per-level distances and raw pivot attributions: always exact — one lex
      multi-source Dijkstra per level is cheap even where recomputing all n
      bounded cluster waves is not *)
-  let cdist, cpivots =
-    match mode with
-    | Exact ->
-      let c = Scheme.Exact_stage.compute g ~k ~levels in
-      (* full-cluster comparison rides along in exact mode *)
-      let dc = c.Scheme.Exact_stage.clusters
-      and dd = ex.Scheme.Exact_stage.clusters in
-      if List.length dc <> List.length dd then
-        err "cluster count: distributed %d, centralized %d" (List.length dd)
-          (List.length dc)
-      else
-        List.iter2
-          (fun (cc : Tz.Cluster.t) (cd : Tz.Cluster.t) ->
-            if cc.Tz.Cluster.owner <> cd.Tz.Cluster.owner then
-              err "cluster order: distributed owner %d, centralized %d"
-                cd.Tz.Cluster.owner cc.Tz.Cluster.owner
-            else if cd.Tz.Cluster.dist <> cc.Tz.Cluster.dist then
-              err "cluster of %d: member/distance lists differ"
-                cc.Tz.Cluster.owner)
-          dc dd;
-      (c.Scheme.Exact_stage.dist, c.Scheme.Exact_stage.pivots)
-    | Sampled _ -> Scheme.Exact_stage.distances g ~k ~levels
-  in
+  let cdist, cpivots = Scheme.Exact_stage.distances g ~k ~levels in
   for i = 0 to ih do
     for v = 0 to n - 1 do
       if cdist.(i).(v) <> ex.Scheme.Exact_stage.dist.(i).(v) then
@@ -377,50 +356,46 @@ let check_against_centralized ~rng ?(mode = Exact) g (o : outcome) =
           ex.Scheme.Exact_stage.pivots.(i).(v) cpivots.(i).(v)
     done
   done;
-  (match mode with
-  | Exact -> ()
-  | Sampled { sample; seed } ->
-    (* registration order (level ascending, owner ascending) follows from
-       levels alone, so the full owner sequence is still checked exactly;
-       only the bounded waves behind each member/distance list are
-       spot-checked *)
-    let expected_owners = ref [] in
-    for i = ih - 1 downto 0 do
-      for w = n - 1 downto 0 do
-        if levels.(w) = i then expected_owners := (i, w) :: !expected_owners
-      done
-    done;
-    let dd = Array.of_list ex.Scheme.Exact_stage.clusters in
-    let expected = Array.of_list !expected_owners in
-    if Array.length dd <> Array.length expected then
-      err "cluster count: distributed %d, centralized %d" (Array.length dd)
-        (Array.length expected)
-    else begin
-      Array.iteri
-        (fun ci (_, w) ->
-          if dd.(ci).Tz.Cluster.owner <> w then
-            err "cluster order: distributed owner %d, centralized %d"
-              dd.(ci).Tz.Cluster.owner w)
-        expected;
-      let srng = Random.State.make [| seed; n; k |] in
-      List.iter
-        (fun ci ->
-          let i, w = expected.(ci) in
-          if dd.(ci).Tz.Cluster.owner = w then begin
-            let cc =
-              Tz.Cluster.of_owner_bound g ~owner:w ~owner_level:i
-                ~bound:(fun v -> cdist.(i + 1).(v))
-            in
-            let sorted =
-              List.sort
-                (fun (a, _) (b, _) -> compare a b)
-                cc.Tz.Cluster.dist
-            in
-            if dd.(ci).Tz.Cluster.dist <> sorted then
-              err "cluster of %d: member/distance lists differ" w
-          end)
-        (sample_indices srng (Array.length expected) sample)
-    end);
+  (* registration order (level ascending, owner ascending) follows from
+     levels alone, so the full owner sequence is always checked exactly;
+     the bounded wave behind each member/distance list is the per-cluster
+     blocker worth sampling *)
+  let expected_owners = ref [] in
+  for i = ih - 1 downto 0 do
+    for w = n - 1 downto 0 do
+      if levels.(w) = i then expected_owners := (i, w) :: !expected_owners
+    done
+  done;
+  let dd = Array.of_list ex.Scheme.Exact_stage.clusters in
+  let expected = Array.of_list !expected_owners in
+  if Array.length dd <> Array.length expected then
+    err "cluster count: distributed %d, centralized %d" (Array.length dd)
+      (Array.length expected)
+  else begin
+    Array.iteri
+      (fun ci (_, w) ->
+        if dd.(ci).Tz.Cluster.owner <> w then
+          err "cluster order: distributed owner %d, centralized %d"
+            dd.(ci).Tz.Cluster.owner w)
+      expected;
+    List.iter
+      (fun ci ->
+        let i, w = expected.(ci) in
+        if dd.(ci).Tz.Cluster.owner = w then begin
+          let cc =
+            Tz.Cluster.of_owner_bound g ~owner:w ~owner_level:i
+              ~bound:(fun v -> cdist.(i + 1).(v))
+          in
+          let sorted =
+            List.sort (fun (a, _) (b, _) -> compare a b) cc.Tz.Cluster.dist
+          in
+          if dd.(ci).Tz.Cluster.dist <> sorted then
+            err "cluster of %d: member/distance lists differ" w
+        end)
+      (gate_indices mode
+         ~salt:(fun seed -> [| seed; n; k |])
+         (Array.length expected))
+  end;
   (* member set A_ih follows from levels — always checked exactly *)
   let expected_members = ref [] in
   for v = n - 1 downto 0 do
@@ -432,6 +407,8 @@ let check_against_centralized ~rng ?(mode = Exact) g (o : outcome) =
       (List.length !expected_members);
   let vg = Hopsets.Virtual_graph.make g ~members:o.members ~b:o.b in
   let row v' = List.assoc v' o.virtual_rows in
+  (* each [edges_from] is a B-hop Bellman–Ford over the host graph — the
+     other per-member blocker worth sampling *)
   let check_virtual_row u' =
     let ef = Hopsets.Virtual_graph.edges_from vg u' in
     let col =
@@ -447,18 +424,19 @@ let check_against_centralized ~rng ?(mode = Exact) g (o : outcome) =
     if col <> ef then
       err "virtual row of %d: wave deposits differ from edges_from" u'
   in
-  (match mode with
-  | Exact -> List.iter check_virtual_row o.members
-  | Sampled { sample; seed } ->
-    (* each [edges_from] is a B-hop Bellman–Ford over the host graph — the
-       other per-member blocker worth sampling *)
-    let ms = Array.of_list o.members in
-    let srng = Random.State.make [| seed + 1; n; k |] in
-    List.iter
-      (fun i -> check_virtual_row ms.(i))
-      (sample_indices srng (Array.length ms) sample));
+  let ms = Array.of_list o.members in
+  List.iter
+    (fun i -> check_virtual_row ms.(i))
+    (gate_indices mode
+       ~salt:(fun seed -> [| seed + 1; n; k |])
+       (Array.length ms));
   List.rev !errs
 
 let build_scheme ~rng g (o : outcome) =
+  (match o.failures with
+  | [] -> ()
+  | f :: _ ->
+    invalid_arg ("Dist_scheme.build_scheme: exact stage failed: " ^ failure_to_string f));
   let params = { Scheme.Params.default with b = Some o.b } in
-  Scheme.build_from_exact ~rng ~params ~exact:o.exact g
+  let upper = Scheme.Upper_stage.compute ~rng ~params ~exact:o.exact g in
+  Scheme.build_from_exact ~exact:o.exact ~upper g

@@ -166,10 +166,10 @@ val gate_mode_name : gate_mode -> string
 (** ["exact"] or ["sampled(sample=…,seed=…)"] — log this next to the gate
     verdict so a sampled pass is never mistaken for an exact one. *)
 
-val sample_indices : Random.State.t -> int -> int -> int list
-(** [sample_indices srng total m]: [m] distinct indices from [[0, total)],
-    seed-deterministic, ascending — the sampling primitive behind [Sampled]
-    gates, shared with [Dist_hopset]. *)
+val gate_indices : gate_mode -> salt:(int -> int array) -> int -> int list
+(** [gate_indices mode ~salt total]: the indices in [[0, total)] a gate
+    recomputes, ascending — all in [Exact] mode, [sample] distinct ones
+    drawn from [Random.State.make (salt seed)] in [Sampled] mode. *)
 
 val check_against_centralized :
   rng:Random.State.t ->
@@ -179,7 +179,8 @@ val check_against_centralized :
   string list
 (** The differential gate. Re-samples levels from [rng] (pass a state
     seeded exactly like [run]'s) and recomputes the exact stage centrally
-    ({!Scheme.Exact_stage.compute}, {!Hopsets.Virtual_graph.edges_from});
+    ({!Scheme.Exact_stage.distances}, {!Tz.Cluster.of_owner_bound},
+    {!Hopsets.Virtual_graph.edges_from});
     returns one human-readable line per divergence — levels, per-level
     distances and pivot attributions, cluster member sets and distances,
     and every virtual row, all compared bit-for-bit. Empty = identical.
@@ -190,12 +191,14 @@ val check_against_centralized :
     per-level distance/pivot ({!Scheme.Exact_stage.distances}), the full
     cluster registration order and the member set exactly checked, and
     recomputes only the sampled clusters' member/distance lists and the
-    sampled members' virtual rows. *)
+    sampled members' virtual rows ({!gate_indices}). *)
 
 val build_scheme : rng:Random.State.t -> Dgraph.Graph.t -> outcome -> Scheme.t
-(** Feed the distributed exact stage into the centralized upper half
-    ({!Scheme.build_from_exact}) with the default parameters and
-    [outcome.b] (the bound the virtual wave actually used): hopset,
-    approximate pivots/clusters, labels and per-cluster tree routing. The
-    resulting scheme's cost carries the protocol's measured spans for the
-    exact phases and the usual charges for the rest. *)
+(** Splice the distributed exact stage with the centralized upper stage:
+    {!Scheme.Upper_stage.compute} on [rng] with the default parameters and
+    [outcome.b] (the bound the virtual wave actually used), then
+    {!Scheme.build_from_exact}. The resulting scheme's cost carries the
+    protocol's measured spans for the exact phases and the upper stage's
+    charges for the rest.
+    @raise Invalid_argument naming the first failure if the outcome has
+    any: a failed stage is never spliced. *)

@@ -20,79 +20,6 @@ module Params = struct
       pp_opt p.beta pp_opt p.b
 end
 
-type t = {
-  k : int;
-  epsilon : float;
-  beta : int;
-  b : int;
-  router : Tz.Graph_routing.t;
-  cost : Cost.t;
-  hierarchy : Tz.Hierarchy.t;
-  virtual_size : int;
-  hopset_size : int;
-  hopset_max_store : int;
-  cluster_trees_high : (int * Tree.t) list;
-  pivot_estimates : (int * (float array * int array)) list;
-  peak_memory : int;
-  avg_memory : float;
-  per_vertex_memory : int array;
-}
-
-let k t = t.k
-let router t = t.router
-let cost t = t.cost
-let hierarchy t = t.hierarchy
-let virtual_size t = t.virtual_size
-let b_bound t = t.b
-let beta t = t.beta
-let epsilon t = t.epsilon
-let hopset_size t = t.hopset_size
-let hopset_max_store t = t.hopset_max_store
-let approx_cluster_trees t = t.cluster_trees_high
-let pivot_estimate t ~level = List.assoc_opt level t.pivot_estimates
-let route t ~src ~dst = Tz.Graph_routing.route t.router ~src ~dst
-let route_weight g t ~src ~dst = Tz.Graph_routing.route_weight g t.router ~src ~dst
-let max_table_words t = Tz.Graph_routing.max_table_words t.router
-let max_label_words t = Tz.Graph_routing.max_label_words t.router
-let peak_memory_words t = t.peak_memory
-let avg_memory_words t = t.avg_memory
-let per_vertex_memory t = Array.copy t.per_vertex_memory
-
-(* Extract the approximate-cluster tree rooted at [w] from per-vertex
-   candidate assignments (dist, parent). Candidates follow strictly
-   decreasing distances toward the root, so the parent map is acyclic. *)
-let tree_of_candidates n w ~member ~parent g =
-  let par = Array.make n (-2) and wpar = Array.make n 0.0 in
-  par.(w) <- -1;
-  for v = 0 to n - 1 do
-    if v <> w && member.(v) then begin
-      let p = parent.(v) in
-      if p >= 0 && member.(p) then begin
-        match Graph.weight g v p with
-        | Some wt ->
-          par.(v) <- p;
-          wpar.(v) <- wt
-        | None -> () (* should not happen: parents are graph neighbours *)
-      end
-    end
-  done;
-  (* drop members whose parent chain broke (numeric corner cases): walk up *)
-  let ok = Array.make n false in
-  ok.(w) <- true;
-  let rec check v =
-    if ok.(v) then true
-    else if par.(v) < 0 then v = w
-    else if check par.(v) then begin
-      ok.(v) <- true;
-      true
-    end
-    else false
-  in
-  for v = 0 to n - 1 do
-    if par.(v) <> -2 && not (check v) then par.(v) <- -2
-  done;
-  Tree.of_parents ~root:w ~parent:par ~wparent:wpar
-
 (* The exact stage of Appendix B (everything below level ⌈k/2⌉ plus the raw
    pivot attributions), as a standalone value. [compute] is the centralized
    reference; [Dist_scheme] produces the same record by running the stage
@@ -205,12 +132,13 @@ module Exact_stage = struct
     }
 end
 
-(* The upper half of Appendix B as data: hopset edges, approximate pivot
-   estimates and per-owner cluster-wave candidates, plus the measured phase
-   spans of whatever computed them. [Dist_hopset] harvests one of these from
-   its protocol runs; [build_from_exact ?upper] consumes it in place of the
-   centralized hopset construction and [Hopset.run_*] calls, replaying the
-   measured spans instead of the charged formulas. *)
+
+(* The upper half of Appendix B as data: the hopset, approximate pivot
+   estimates and per-owner cluster waves with their pruned trees, plus the
+   phases of whatever computed them. [compute] is the centralized reference,
+   charging the paper's formulas; [Dist_hopset] harvests the same record
+   from its protocol runs, with measured spans. [build_from_exact] reads
+   either one the same way. *)
 module Upper_stage = struct
   type cluster_wave = {
     owner : int;
@@ -218,125 +146,293 @@ module Upper_stage = struct
     cdist : float array;
     cparent : int array;
     joined : bool array;
+    tree : Tree.t;
   }
 
   type t = {
-    hopset_edges : Hopset.edge list;
+    hopset : Hopset.t;
+    epsilon : float;
+    beta : int;
     pivot_estimates : (int * (float array * int array)) list;
     cluster_waves : cluster_wave list;
     phases : Cost.t;
   }
+
+  (* [β] Bellman–Ford iterations on G' ∪ H from every vertex of level >= j;
+     infinity and no attribution when there is none *)
+  let pivot_estimate hopset ~beta ~levels j =
+    let n = Array.length levels in
+    let srcs = ref [] in
+    for v = n - 1 downto 0 do
+      if levels.(v) >= j then srcs := (v, 0.0) :: !srcs
+    done;
+    if !srcs = [] then (Array.make n infinity, Array.make n (-1))
+    else
+      let dist, _, origin = Hopset.run_attributed hopset ~sources:!srcs ~beta in
+      (dist, origin)
+
+  let limits ~n pivot_estimates i =
+    match List.assoc_opt (i + 1) pivot_estimates with
+    | Some (d, _) -> d
+    | None -> Array.make n infinity
+
+  (* The members are the owner, the vertices path recovery joined and those
+     whose candidate lies under the host limit. A member keeps its
+     candidate parent if that is a member too; candidates follow strictly
+     decreasing distances toward the owner, so the parent map is acyclic,
+     and a member whose parent chain breaks (numeric corner cases) is
+     dropped. *)
+  let of_candidates ~epsilon ~limits g ~level ~owner ~cdist ~cparent ~joined =
+    let n = Graph.n g in
+    let one_eps = 1.0 +. epsilon in
+    let member v =
+      v = owner
+      || (cdist.(v) < infinity && (joined.(v) || cdist.(v) *. one_eps < limits.(v)))
+    in
+    let par = Array.make n (-2) and wpar = Array.make n 0.0 in
+    par.(owner) <- -1;
+    for v = 0 to n - 1 do
+      let p = cparent.(v) in
+      if v <> owner && member v && p >= 0 && member p then
+        match Graph.weight g v p with
+        | Some wt ->
+          par.(v) <- p;
+          wpar.(v) <- wt
+        | None -> () (* should not happen: parents are graph neighbours *)
+    done;
+    let ok = Array.make n false in
+    ok.(owner) <- true;
+    let rec check v =
+      if ok.(v) then true
+      else if par.(v) < 0 then v = owner
+      else if check par.(v) then begin
+        ok.(v) <- true;
+        true
+      end
+      else false
+    in
+    for v = 0 to n - 1 do
+      if par.(v) <> -2 && not (check v) then par.(v) <- -2
+    done;
+    let tree = Tree.of_parents ~root:owner ~parent:par ~wparent:wpar in
+    { owner; level; cdist; cparent; joined; tree }
+
+  (* One high-level owner's approximate cluster candidates: the limited
+     exploration in G' ∪ H, path recovery along used hopset edges, and the
+     final B-bounded wave. Path recovery is order-free: every walk reads the
+     same pre-recovery snapshot and proposals commit per vertex by lex-min
+     (acc, prev) — so concurrent walk messages in the distributed build
+     reproduce it bit-for-bit. *)
+  let wave ~hopset ~epsilon ~beta ~limits g ~level ~owner:w =
+    let n = Graph.n g in
+    let one_eps = 1.0 +. epsilon in
+    let keep_host u d = d *. one_eps < limits.(u) in
+    let keep_virtual u d = d *. one_eps *. one_eps < limits.(u) in
+    let dist, prov =
+      Hopset.run_limited hopset ~sources:[ (w, 0.0) ] ~beta ~keep_host
+        ~keep_virtual
+    in
+    (* candidate (dist, parent) per vertex *)
+    let cdist = Array.copy dist in
+    let cparent = Array.make n (-1) in
+    let joined_by_path = Array.make n false in
+    Array.iteri
+      (fun v p ->
+        match p with
+        | Hopset.Via_host parent -> cparent.(v) <- parent
+        | Hopset.Via_hopset _ | Hopset.Source | Hopset.Unreached -> ())
+      prov;
+    (* path recovery on used hopset edges *)
+    let cdist0 = Array.copy cdist in
+    let prop_acc = Array.make n infinity and prop_prev = Array.make n max_int in
+    let edges = Hopset.edges hopset in
+    Array.iteri
+      (fun v p ->
+        match p with
+        (* Path recovery applies only to hopset edges of the *tree*: the
+           fed endpoint must itself satisfy the virtual limit (the
+           premise of Claim 9's second case). *)
+        | Hopset.Via_hopset ei
+          when dist.(v) < infinity && dist.(v) *. one_eps *. one_eps < limits.(v)
+          ->
+          let e = edges.(ei) in
+          let path = e.Hopset.path in
+          let len = Array.length path in
+          (* direction: which endpoint fed v *)
+          (* the feeder is the other endpoint; orient the path feeder->v *)
+          let ordered =
+            if v = e.Hopset.y then path
+            else Array.init len (fun idx -> path.(len - 1 - idx))
+          in
+          let acc = ref cdist0.(ordered.(0)) in
+          for idx = 1 to len - 1 do
+            let u = ordered.(idx) and prev = ordered.(idx - 1) in
+            (match Graph.weight g prev u with
+            | Some wt -> acc := !acc +. wt
+            | None -> ());
+            (* <=: the endpoint's candidate ties its recorded estimate
+               and must still acquire a parent on the path *)
+            (* tolerance: the per-edge sum can differ from the stored
+               edge weight in the last floating-point bits *)
+            if !acc <= cdist0.(u) +. (1e-9 *. (1.0 +. abs_float cdist0.(u)))
+               && (!acc, prev) < (prop_acc.(u), prop_prev.(u))
+            then begin
+              prop_acc.(u) <- !acc;
+              prop_prev.(u) <- prev
+            end
+          done
+        | _ -> ())
+      prov;
+    Array.iteri
+      (fun u a ->
+        if a < infinity then begin
+          cdist.(u) <- Float.min a cdist0.(u);
+          cparent.(u) <- prop_prev.(u);
+          joined_by_path.(u) <- true
+        end)
+      prop_acc;
+    (* final B-bounded limited wave from all current candidates *)
+    let wave, wparent =
+      Virtual_graph.bf_iteration_limited (Hopset.virtual_graph hopset) cdist
+        ~keep_going:(fun u d -> u = w || keep_host u d)
+    in
+    Array.iteri
+      (fun v d ->
+        if d < cdist.(v) then begin
+          cdist.(v) <- d;
+          cparent.(v) <- wparent.(v);
+          joined_by_path.(v) <- false
+        end)
+      wave;
+    of_candidates ~epsilon ~limits g ~level ~owner:w ~cdist ~cparent
+      ~joined:joined_by_path
+
+  let compute ~rng ?(params = Params.default) ~(exact : Exact_stage.t) g =
+    let k = exact.Exact_stage.k and ih = exact.Exact_stage.ih in
+    let levels = exact.Exact_stage.levels in
+    let n = Graph.n g in
+    let epsilon = params.Params.epsilon and lambda = params.Params.lambda in
+    let beta =
+      match params.Params.beta with Some b -> b | None -> max 8 (2 * lambda)
+    in
+    let b =
+      match params.Params.b with
+      | Some b ->
+        if b < 1 then invalid_arg "Scheme.build: b >= 1 required";
+        b
+      | None -> Exact_stage.default_b ~n ~k
+    in
+    let d_est = Diameter.hop_diameter_estimate g in
+    let phases = ref Cost.empty in
+    let charge ?(detail = "") name rounds mem =
+      phases := Cost.add !phases ~detail ~name ~rounds ~peak_memory:mem
+    in
+    (* ---- virtual graph and hopset ---- *)
+    let members = ref [] in
+    for v = n - 1 downto 0 do
+      if levels.(v) >= ih then members := v :: !members
+    done;
+    let vg = Virtual_graph.make g ~members:!members ~b in
+    let m = Virtual_graph.size vg in
+    let hopset = Construct.tz_hopset ~rng ~lambda vg in
+    let alpha = Hopset.max_out_degree hopset in
+    charge
+      ~detail:(Printf.sprintf "m=%d |H|=%d alpha=%d" m (Hopset.size hopset) alpha)
+      "hopset"
+      (lambda * ((m * alpha) + b + d_est))
+      (3 * alpha);
+    (* ---- approximate pivot distances for high levels ---- *)
+    let pivot_estimates = ref [] in
+    for j = ih + 1 to k - 1 do
+      if Array.exists (fun l -> l >= j) levels then
+        charge
+          (Printf.sprintf "approx pivots level %d" j)
+          (beta * ((m * alpha) + b + d_est))
+          (3 + alpha);
+      pivot_estimates := (j, pivot_estimate hopset ~beta ~levels j) :: !pivot_estimates
+    done;
+    (* ---- approximate clusters for high levels ---- *)
+    let waves = ref [] in
+    for i = ih to k - 1 do
+      let limits = limits ~n !pivot_estimates i in
+      let owners = ref 0 and level_membership = Array.make n 0 in
+      for w = 0 to n - 1 do
+        if levels.(w) = i then begin
+          let cw = wave ~hopset ~epsilon ~beta ~limits g ~level:i ~owner:w in
+          List.iter
+            (fun v -> level_membership.(v) <- level_membership.(v) + 1)
+            (Tree.vertices cw.tree);
+          incr owners;
+          waves := cw :: !waves
+        end
+      done;
+      let congestion = max 1 (Array.fold_left max 0 level_membership) in
+      charge
+        ~detail:(Printf.sprintf "|owners|=%d" !owners)
+        (Printf.sprintf "approx clusters level %d" i)
+        (beta * ((((m * alpha) + b) * congestion / max 1 m) + b + d_est))
+        (2 * congestion)
+    done;
+    {
+      hopset;
+      epsilon;
+      beta;
+      pivot_estimates = !pivot_estimates;
+      cluster_waves = List.rev !waves;
+      phases = !phases;
+    }
 end
 
-(* One high-level owner's approximate cluster candidates: the limited
-   exploration in G' ∪ H, path recovery along used hopset edges, and the
-   final B-bounded wave. Returns (cdist, cparent, joined_by_path) plus the
-   raw exploration output for debugging. Path recovery is order-free: every
-   walk reads the same pre-recovery snapshot and proposals commit per vertex
-   by lex-min (acc, prev) — so concurrent walk messages in the distributed
-   build reproduce it bit-for-bit. *)
-let approx_cluster_candidates ~hopset ~vg ~epsilon ~beta ~limits g ~owner:w =
-  let n = Graph.n g in
-  let one_eps = 1.0 +. epsilon in
-  let keep_host u d = d *. one_eps < limits.(u) in
-  let keep_virtual u d = d *. one_eps *. one_eps < limits.(u) in
-  let dist, prov =
-    Hopset.run_limited hopset ~sources:[ (w, 0.0) ] ~beta ~keep_host
-      ~keep_virtual
-  in
-  (* candidate (dist, parent) per vertex *)
-  let cdist = Array.copy dist in
-  let cparent = Array.make n (-1) in
-  let joined_by_path = Array.make n false in
-  Array.iteri
-    (fun v p ->
-      match p with
-      | Hopset.Via_host parent -> cparent.(v) <- parent
-      | Hopset.Via_hopset _ | Hopset.Source | Hopset.Unreached -> ())
-    prov;
-  (* path recovery on used hopset edges *)
-  let cdist0 = Array.copy cdist in
-  let prop_acc = Array.make n infinity and prop_prev = Array.make n max_int in
-  let edges = Hopset.edges hopset in
-  Array.iteri
-    (fun v p ->
-      match p with
-      (* Path recovery applies only to hopset edges of the *tree*: the
-         fed endpoint must itself satisfy the virtual limit (the
-         premise of Claim 9's second case). *)
-      | Hopset.Via_hopset ei
-        when dist.(v) < infinity && dist.(v) *. one_eps *. one_eps < limits.(v)
-        ->
-        let e = edges.(ei) in
-        let path = e.Hopset.path in
-        let len = Array.length path in
-        (* direction: which endpoint fed v *)
-        (* the feeder is the other endpoint; orient the path feeder->v *)
-        let ordered =
-          if v = e.Hopset.y then path
-          else Array.init len (fun idx -> path.(len - 1 - idx))
-        in
-        let acc = ref cdist0.(ordered.(0)) in
-        for idx = 1 to len - 1 do
-          let u = ordered.(idx) and prev = ordered.(idx - 1) in
-          (match Graph.weight g prev u with
-          | Some wt -> acc := !acc +. wt
-          | None -> ());
-          (* <=: the endpoint's candidate ties its recorded estimate
-             and must still acquire a parent on the path *)
-          (* tolerance: the per-edge sum can differ from the stored
-             edge weight in the last floating-point bits *)
-          if !acc <= cdist0.(u) +. (1e-9 *. (1.0 +. abs_float cdist0.(u)))
-             && (!acc, prev) < (prop_acc.(u), prop_prev.(u))
-          then begin
-            prop_acc.(u) <- !acc;
-            prop_prev.(u) <- prev
-          end
-        done
-      | _ -> ())
-    prov;
-  Array.iteri
-    (fun u a ->
-      if a < infinity then begin
-        cdist.(u) <- Float.min a cdist0.(u);
-        cparent.(u) <- prop_prev.(u);
-        joined_by_path.(u) <- true
-      end)
-    prop_acc;
-  (* final B-bounded limited wave from all current candidates *)
-  let wave, wparent =
-    Virtual_graph.bf_iteration_limited vg cdist
-      ~keep_going:(fun u d -> u = w || keep_host u d)
-  in
-  Array.iteri
-    (fun v d ->
-      if d < cdist.(v) then begin
-        cdist.(v) <- d;
-        cparent.(v) <- wparent.(v);
-        joined_by_path.(v) <- false
-      end)
-    wave;
-  (dist, prov, cdist, cparent, joined_by_path)
+type t = {
+  k : int;
+  router : Tz.Graph_routing.t;
+  cost : Cost.t;
+  hierarchy : Tz.Hierarchy.t;
+  upper : Upper_stage.t;
+  cluster_trees_high : (int * Tree.t) list;
+  peak_memory : int;
+  avg_memory : float;
+  per_vertex_memory : int array;
+}
 
-let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
-    ~(exact : Exact_stage.t) g =
+let k t = t.k
+let router t = t.router
+let cost t = t.cost
+let hierarchy t = t.hierarchy
+let virtual_graph t = Hopset.virtual_graph t.upper.Upper_stage.hopset
+let virtual_size t = Virtual_graph.size (virtual_graph t)
+let b_bound t = Virtual_graph.b (virtual_graph t)
+let beta t = t.upper.Upper_stage.beta
+let epsilon t = t.upper.Upper_stage.epsilon
+let hopset_size t = Hopset.size t.upper.Upper_stage.hopset
+let hopset_max_store t = Hopset.max_out_degree t.upper.Upper_stage.hopset
+let approx_cluster_trees t = t.cluster_trees_high
+let pivot_estimate t ~level = List.assoc_opt level t.upper.Upper_stage.pivot_estimates
+let route t ~src ~dst = Tz.Graph_routing.route t.router ~src ~dst
+let route_weight g t ~src ~dst = Tz.Graph_routing.route_weight g t.router ~src ~dst
+let max_table_words t = Tz.Graph_routing.max_table_words t.router
+let max_label_words t = Tz.Graph_routing.max_label_words t.router
+let peak_memory_words t = t.peak_memory
+let avg_memory_words t = t.avg_memory
+let per_vertex_memory t = Array.copy t.per_vertex_memory
+
+let build_from_exact ?trace ?hierarchy ~(exact : Exact_stage.t)
+    ~(upper : Upper_stage.t) g =
   let k = exact.Exact_stage.k in
   if k < 2 then invalid_arg "Scheme.build_from_exact: k >= 2 required";
-  let epsilon = params.Params.epsilon and lambda = params.Params.lambda in
   let n = Graph.n g in
-  if Array.length exact.Exact_stage.levels <> n then
+  let levels = exact.Exact_stage.levels in
+  if Array.length levels <> n then
     invalid_arg "Scheme.build_from_exact: exact stage is for a different graph";
   let nf = float_of_int n in
-  let beta =
-    match params.Params.beta with Some b -> b | None -> max 8 (2 * lambda)
-  in
   let d_est = Diameter.hop_diameter_estimate g in
   let hierarchy =
     match hierarchy with
     | Some h -> h
-    | None -> Tz.Hierarchy.of_levels ~k exact.Exact_stage.levels
+    | None -> Tz.Hierarchy.of_levels ~k levels
   in
   let ih = exact.Exact_stage.ih in
+  let hopset = upper.Upper_stage.hopset in
   let cost = ref Cost.empty in
   (* cumulative charged rounds — the trace clock for this construction, so
      the closed spans it emits partition [0, Cost.total_rounds) exactly like
@@ -355,135 +451,41 @@ let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
         ~name ~start_round:!cum ~end_round:(!cum + rounds) ());
     cum := !cum + rounds
   in
-  (* ---- low levels: exact stage (precomputed or protocol-run) ---- *)
+  (* ---- both stages' phases, charged or measured, in time order ---- *)
   List.iter
     (fun (ph : Cost.phase) ->
       charge ~detail:ph.Cost.detail ph.Cost.name ph.Cost.rounds ph.Cost.peak_memory)
-    (Cost.phases exact.Exact_stage.phases);
-  let exact_dist = exact.Exact_stage.dist in
-  (* ---- virtual graph and hopset ---- *)
-  let members = Tz.Hierarchy.members hierarchy ih in
-  let b =
-    match params.Params.b with
-    | Some b ->
-      if b < 1 then invalid_arg "Scheme.build: b >= 1 required";
-      b
-    | None -> Exact_stage.default_b ~n ~k
-  in
-  let vg = Virtual_graph.make g ~members ~b in
-  let m = Virtual_graph.size vg in
-  let hopset =
-    match upper with
-    | None -> Construct.tz_hopset ~rng ~lambda vg
-    | Some (u : Upper_stage.t) -> Hopset.make vg u.Upper_stage.hopset_edges
-  in
-  let alpha = Hopset.max_out_degree hopset in
-  (match upper with
-  | None ->
-    charge
-      ~detail:
-        (Printf.sprintf "m=%d |H|=%d alpha=%d" m (Hopset.size hopset) alpha)
-      "hopset"
-      (lambda * ((m * alpha) + b + d_est))
-      (3 * alpha)
-  | Some u ->
-    (* measured protocol spans replace the charged hopset/approx formulas;
-       replayed here in one block so the cost stays chronological *)
-    List.iter
-      (fun (ph : Cost.phase) ->
-        charge ~detail:ph.Cost.detail ph.Cost.name ph.Cost.rounds
-          ph.Cost.peak_memory)
-      (Cost.phases u.Upper_stage.phases));
-  (* ---- approximate pivot distances for high levels ---- *)
-  let pivot_estimates = ref [] in
-  let infinity_arr = lazy (Array.make n infinity, Array.make n (-1)) in
-  for j = ih + 1 to k - 1 do
-    let sources = Tz.Hierarchy.members hierarchy j in
-    if sources = [] then pivot_estimates := (j, Lazy.force infinity_arr) :: !pivot_estimates
-    else
-      match upper with
-      | Some u ->
-        let est =
-          match List.assoc_opt j u.Upper_stage.pivot_estimates with
-          | Some est -> est
+    (Cost.phases exact.Exact_stage.phases @ Cost.phases upper.Upper_stage.phases);
+  (* ---- the upper stage's approximate pivots and cluster trees ---- *)
+  let approx_pivots =
+    Array.init k (fun j ->
+        if j <= ih then [||]
+        else
+          match List.assoc_opt j upper.Upper_stage.pivot_estimates with
+          | Some (_, origin) -> origin
           | None ->
             invalid_arg
               (Printf.sprintf
                  "Scheme.build_from_exact: upper stage lacks pivot estimates \
-                  for level %d" j)
-        in
-        pivot_estimates := (j, est) :: !pivot_estimates
-      | None ->
-        let srcs = List.map (fun s -> (s, 0.0)) sources in
-        let dist, _, origin = Hopset.run_attributed hopset ~sources:srcs ~beta in
-        pivot_estimates := (j, (dist, origin)) :: !pivot_estimates;
-        charge
-          (Printf.sprintf "approx pivots level %d" j)
-          (beta * ((m * alpha) + b + d_est))
-          (3 + alpha)
-  done;
-  let dhat j =
-    if j >= k then fst (Lazy.force infinity_arr)
-    else if j <= ih then exact_dist.(j)
-    else fst (List.assoc j !pivot_estimates)
+                  for level %d" j))
   in
-  (* ---- approximate clusters for high levels ---- *)
   let cluster_trees_high = ref [] in
-  let one_eps = 1.0 +. epsilon in
   for i = ih to k - 1 do
-    let limits = dhat (i + 1) in
-    let owners =
-      List.filter (fun w -> Tz.Hierarchy.level hierarchy w = i) (Tz.Hierarchy.members hierarchy i)
-    in
-    let level_membership = Array.make n 0 in
-    List.iter
-      (fun w ->
-        let cdist, cparent, joined_by_path =
-          match upper with
-          | Some u -> (
-            match
-              List.find_opt
-                (fun (cw : Upper_stage.cluster_wave) ->
-                  cw.Upper_stage.owner = w && cw.Upper_stage.level = i)
-                u.Upper_stage.cluster_waves
-            with
-            | Some cw ->
-              ( cw.Upper_stage.cdist,
-                cw.Upper_stage.cparent,
-                cw.Upper_stage.joined )
-            | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "Scheme.build_from_exact: upper stage lacks the cluster \
-                    wave of owner %d (level %d)" w i))
-          | None ->
-            let _, _, cdist, cparent, joined =
-              approx_cluster_candidates ~hopset ~vg ~epsilon ~beta ~limits g
-                ~owner:w
-            in
-            (cdist, cparent, joined)
-        in
-        (* membership *)
-        let member = Array.make n false in
-        member.(w) <- true;
-        for v = 0 to n - 1 do
-          if v <> w && cdist.(v) < infinity then
-            if joined_by_path.(v) || cdist.(v) *. one_eps < limits.(v) then member.(v) <- true
-        done;
-        (* parents must be members; prune leaves-first via the tree builder *)
-        let tree = tree_of_candidates n w ~member ~parent:cparent g in
-        cluster_trees_high := (w, tree) :: !cluster_trees_high;
-        List.iter
-          (fun v -> level_membership.(v) <- level_membership.(v) + 1)
-          (Tree.vertices tree))
-      owners;
-    let congestion = max 1 (Array.fold_left max 0 level_membership) in
-    if upper = None then
-      charge
-        ~detail:(Printf.sprintf "|owners|=%d" (List.length owners))
-        (Printf.sprintf "approx clusters level %d" i)
-        (beta * ((((m * alpha) + b) * congestion / max 1 m) + b + d_est))
-        (2 * congestion)
+    for w = 0 to n - 1 do
+      if levels.(w) = i then
+        match
+          List.find_opt
+            (fun (cw : Upper_stage.cluster_wave) ->
+              cw.Upper_stage.owner = w && cw.Upper_stage.level = i)
+            upper.Upper_stage.cluster_waves
+        with
+        | Some cw -> cluster_trees_high := (w, cw.Upper_stage.tree) :: !cluster_trees_high
+        | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Scheme.build_from_exact: upper stage lacks the cluster wave of \
+                owner %d (level %d)" w i)
+    done
   done;
   (* ---- router: the exact clusters, then the approximate ones ---- *)
   (* Strict promotion runs over the exact levels only: the distributed stage
@@ -492,9 +494,9 @@ let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
      approximate pivot is taken as is. *)
   let pivot j y =
     if j <= ih then
-      Tz.Hierarchy.strict_pivot ~dist:exact_dist ~pivots:exact.Exact_stage.pivots
-        j y
-    else (snd (List.assoc j !pivot_estimates)).(y)
+      Tz.Hierarchy.strict_pivot ~dist:exact.Exact_stage.dist
+        ~pivots:exact.Exact_stage.pivots j y
+    else approx_pivots.(j).(y)
   in
   let router =
     Tz.Graph_routing.of_trees ~k ~n ~pivot
@@ -530,17 +532,11 @@ let build_from_exact ~rng ?(params = Params.default) ?trace ?hierarchy ?upper
   charge "final state (tables+labels+hopset)" 0 peak_final;
   {
     k;
-    epsilon;
-    beta;
-    b;
     router;
     cost = !cost;
     hierarchy;
-    virtual_size = m;
-    hopset_size = Hopset.size hopset;
-    hopset_max_store = alpha;
+    upper;
     cluster_trees_high = !cluster_trees_high;
-    pivot_estimates = !pivot_estimates;
     peak_memory = peak;
     avg_memory = avg;
     per_vertex_memory = words;
@@ -556,4 +552,5 @@ let build ~rng ~k ?(params = Params.default) ?trace g =
     Array.init (Graph.n g) (fun v -> Tz.Hierarchy.level hierarchy v)
   in
   let exact = Exact_stage.compute g ~k ~levels in
-  build_from_exact ~rng ~params ?trace ~hierarchy ~exact g
+  let upper = Upper_stage.compute ~rng ~params ~exact g in
+  build_from_exact ?trace ~hierarchy ~exact ~upper g

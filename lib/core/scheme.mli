@@ -27,9 +27,12 @@
       [ih = max 1 ⌊k/2⌋]) and the approximate pivots above. Stretch: [4k−3+o(1)] as built here (the
       paper's [4k−5+o(1)] refinement costs a polylog-larger table).
 
-    Rounds are charged per phase with the paper's own cost lemmas and the
-    *measured* congestion factors (see {!module:Cost}); memory words per
-    vertex are counted from what each vertex actually stores. *)
+    {!build} computes the two stages centrally ({!Exact_stage},
+    {!Upper_stage}) and splices them ({!build_from_exact}); the distributed
+    producers substitute either record. Centralized rounds are charged per
+    phase with the paper's own cost lemmas and the *measured* congestion
+    factors (see {!module:Cost}); memory words per vertex are counted from
+    what each vertex actually stores. *)
 
 type t
 
@@ -100,15 +103,98 @@ module Exact_stage : sig
     float array array * int array array
   (** The cheap half of {!compute}: [(dist, pivots)] from one lex
       multi-source Dijkstra per level [0..ih], without growing any cluster.
-      The sampled differential gate uses it to keep every per-level
-      distance and attribution exactly checked at sizes where recomputing
-      all [n] bounded cluster waves is infeasible. *)
+      The differential gate uses it to check every per-level distance and
+      attribution exactly, even where recomputing all [n] bounded cluster
+      waves is infeasible. *)
 
   val compute : Dgraph.Graph.t -> k:int -> levels:int array -> t
   (** Centralized reference: per-level lex multi-source Dijkstra
       ({!Dgraph.Sssp.dijkstra_sources}) plus bounded truncated Dijkstra
       cluster growing ({!Tz.Cluster.of_owner_bound}), with the exact-cluster
       round/memory charges of the paper recorded in [phases]. *)
+end
+
+(** The {e upper stage} of Appendix B — the hopset, approximate pivot
+    fields and approximate-cluster waves with their trees — as an
+    interchange value mirroring {!Exact_stage}. {!Upper_stage.compute} is
+    the centralized reference; [Dist_hopset] (lib/core) produces the same
+    record by executing the stage message-by-message, with measured spans
+    in [phases]. *)
+module Upper_stage : sig
+  type cluster_wave = {
+    owner : int;
+    level : int;
+    cdist : float array;  (** candidate distance per host vertex *)
+    cparent : int array;  (** candidate parent per host vertex *)
+    joined : bool array;  (** joined by hopset path recovery *)
+    tree : Dgraph.Tree.t;  (** [C̃(owner)], as {!of_candidates} prunes it *)
+  }
+
+  type t = {
+    hopset : Hopsets.Hopset.t;  (** over [G'], which fixes [B] and [V'] *)
+    epsilon : float;
+    beta : int;
+    pivot_estimates : (int * (float array * int array)) list;
+        (** every level [ih < j < k]: [(d̂(·, A_j), origin attribution)];
+            infinity and [-1] where [A_j] is empty *)
+    cluster_waves : cluster_wave list;
+        (** one per high-level owner, any order; looked up by
+            [(owner, level)] *)
+    phases : Cost.t;  (** charged (centralized) or measured (distributed) *)
+  }
+
+  val pivot_estimate :
+    Hopsets.Hopset.t -> beta:int -> levels:int array -> int -> float array * int array
+  (** [pivot_estimate h ~beta ~levels j]: [(d̂(·, A_j), origin)] from [β]
+      Bellman–Ford iterations on [G' ∪ H] rooted at every vertex of level
+      [>= j]; infinity and [-1] if there is none. *)
+
+  val limits :
+    n:int -> (int * (float array * int array)) list -> int -> float array
+  (** [limits ~n pivot_estimates i]: level [i]'s cluster limit
+      [d̂(·, A_{i+1})], infinity if the list has no level [i+1]. *)
+
+  val of_candidates :
+    epsilon:float ->
+    limits:float array ->
+    Dgraph.Graph.t ->
+    level:int ->
+    owner:int ->
+    cdist:float array ->
+    cparent:int array ->
+    joined:bool array ->
+    cluster_wave
+  (** The wave with its tree: the owner, the vertices path recovery joined
+      and those with [cdist·(1+ε) < limits], linked by [cparent], broken
+      chains pruned. Both producers build their waves with it. *)
+
+  val wave :
+    hopset:Hopsets.Hopset.t ->
+    epsilon:float ->
+    beta:int ->
+    limits:float array ->
+    Dgraph.Graph.t ->
+    level:int ->
+    owner:int ->
+    cluster_wave
+  (** One owner's candidates — limited exploration in [G' ∪ H] (virtual
+      limit [limits/(1+ε)²], host limit [limits/(1+ε)]), order-free path
+      recovery along used hopset edges, a final [B]-bounded wave — passed
+      to {!of_candidates}. *)
+
+  val compute :
+    rng:Random.State.t ->
+    ?params:Params.t ->
+    exact:Exact_stage.t ->
+    Dgraph.Graph.t ->
+    t
+  (** Centralized reference: {!Hopsets.Construct.tz_hopset} on [rng] over
+      [V' = A_{ih}], one {!pivot_estimate} per high level and one {!wave}
+      per high-level owner, with the paper's "hopset", "approx pivots
+      level j" and "approx clusters level i" charges in [phases]. [rng]
+      must be where {!build}'s sampling leaves it for bit-identical output,
+      and [params.b] the bound of the exact stage's virtual wave, if it ran
+      one. *)
 end
 
 val build :
@@ -118,7 +204,8 @@ val build :
   ?trace:Congest.Trace.t ->
   Dgraph.Graph.t ->
   t
-(** Build the scheme with the given {!Params} (default {!Params.default}).
+(** {!Exact_stage.compute}, {!Upper_stage.compute} and {!build_from_exact}
+    with the given {!Params} (default {!Params.default}).
 
     With [?trace], every {!Cost} phase is mirrored as a closed phase span:
     same [name], same rounds, on a clock of cumulative charged rounds — so
@@ -126,72 +213,22 @@ val build :
     [Trace.phase_breakdown ~total_rounds:(Cost.total_rounds (cost t))] has
     no unattributed rows. *)
 
-(** The {e upper stage} of Appendix B — hopset edge list, approximate pivot
-    fields and approximate-cluster candidate waves — as an interchange value
-    mirroring {!Exact_stage}. [Dist_hopset] (lib/core) produces one by
-    executing the hopset construction and the [β]-iteration approximate
-    Bellman–Ford message-by-message; {!build_from_exact} with [?upper]
-    consumes it in place of the centralized computation, replaying the
-    measured [phases] spans instead of charging the hopset/approx formulas. *)
-module Upper_stage : sig
-  type cluster_wave = {
-    owner : int;
-    level : int;
-    cdist : float array;  (** candidate distance per host vertex *)
-    cparent : int array;  (** candidate parent per host vertex *)
-    joined : bool array;  (** joined by hopset path recovery *)
-  }
-
-  type t = {
-    hopset_edges : Hopsets.Hopset.edge list;
-        (** exactly {!Hopsets.Construct.assemble}'s output edge list *)
-    pivot_estimates : (int * (float array * int array)) list;
-        (** per high level [j > ih]: [(d̂(·, A_j), origin attribution)] *)
-    cluster_waves : cluster_wave list;
-        (** one wave per high-level owner, any order; looked up by
-            [(owner, level)] *)
-    phases : Cost.t;  (** measured spans, replayed verbatim *)
-  }
-end
-
-val approx_cluster_candidates :
-  hopset:Hopsets.Hopset.t ->
-  vg:Hopsets.Virtual_graph.t ->
-  epsilon:float ->
-  beta:int ->
-  limits:float array ->
-  Dgraph.Graph.t ->
-  owner:int ->
-  float array * Hopsets.Hopset.provenance array * float array * int array
-  * bool array
-(** One owner's approximate-cluster candidate computation — limited
-    exploration in [G' ∪ H], order-free path recovery along used hopset
-    edges, final [B]-bounded wave. Returns
-    [(dist, prov, cdist, cparent, joined_by_path)]; the last three are what
-    an {!Upper_stage.cluster_wave} must reproduce bitwise. Exposed as the
-    centralized reference for the [Dist_hopset] differential gate. *)
-
 val build_from_exact :
-  rng:Random.State.t ->
-  ?params:Params.t ->
   ?trace:Congest.Trace.t ->
   ?hierarchy:Tz.Hierarchy.t ->
-  ?upper:Upper_stage.t ->
   exact:Exact_stage.t ->
+  upper:Upper_stage.t ->
   Dgraph.Graph.t ->
   t
-(** Run the upper half (hopset, approximate pivots/clusters, labels, tree
-    routing) on top of an already-computed exact stage. [exact.phases] is
-    replayed verbatim into the scheme's cost/trace — so a distributed exact
-    stage substitutes its {e measured} spans for the centralized charges
-    while the rest of the accounting is unchanged. [?hierarchy] defaults to
-    [Tz.Hierarchy.of_levels exact.levels] (levels only — sufficient for the
-    upper half, which reads exact distances and pivots from [exact]); pass
-    the fully built hierarchy to keep exact ground truth available through
-    {!hierarchy} as {!build} does. [rng] drives the hopset construction and
-    must be positioned exactly where {!build} leaves it after sampling for
-    bit-identical output. Note that [params.b] must match the value the
-    exact stage's virtual wave used, if it ran one. *)
+(** The splice: replay [exact.phases] then [upper.phases] verbatim, install
+    the exact clusters then the upper trees (level, owner ascending) with
+    the strict exact pivots up to [ih] and the approximate ones above,
+    charge "tree routing schemes" (Theorem 2) and audit memory. It reads
+    the records only, so measured spans replace charges and nothing else
+    changes. [?hierarchy] defaults to [Tz.Hierarchy.of_levels exact.levels];
+    pass the built one to keep exact ground truth in {!hierarchy}.
+    @raise Invalid_argument if [upper] lacks a high level's pivot estimates
+    or a high-level owner's wave. *)
 
 (** {1 Routing} *)
 

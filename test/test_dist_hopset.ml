@@ -261,6 +261,27 @@ let test_build_scheme_matches_centralized_upper () =
   if not (has "approx setup (BFS)") then
     Alcotest.fail "spliced scheme lost the measured approx setup span"
 
+(* A failed upper stage is never spliced: cut at 200 rounds after a clean
+   exact stage, the run has no record, and build_scheme must not fall back
+   to computing the upper half centrally. *)
+let test_build_scheme_rejects_failed_stage () =
+  let g = Gen.grid ~rng:(Random.State.make [| 3 |]) ~rows:6 ~cols:6 () in
+  let r = Random.State.make [| 71 |] in
+  let ds = Routing.Dist_scheme.run ~rng:r ~k:3 ~max_rounds:500_000 g in
+  if ds.Routing.Dist_scheme.failures <> [] then
+    fail_failures "exact stage" ds.Routing.Dist_scheme.failures;
+  let o = Routing.Dist_hopset.run ~rng:r ~max_rounds:200 g ds in
+  if o.Routing.Dist_hopset.upper <> None then
+    Alcotest.fail "a run cut at 200 rounds produced an upper stage";
+  match o.Routing.Dist_hopset.failures with
+  | [ f ] ->
+    Alcotest.check_raises "build_scheme"
+      (Invalid_argument
+         ("Dist_hopset.build_scheme: upper stage failed: "
+         ^ Routing.Dist_hopset.failure_to_string f))
+      (fun () -> ignore (Routing.Dist_hopset.build_scheme ~rng:r g ds o))
+  | fs -> fail_failures "expected one upper-stage failure, got" fs
+
 let test_pipeline_end_to_end () =
   let g = Gen.torus ~rng:(rng 60) ~rows:5 ~cols:5 () in
   let p = Routing.Pipeline.run ~rng:(rng 61) ~k:3 ~max_rounds:500_000 g in
@@ -485,6 +506,8 @@ let () =
             test_build_scheme_matches_centralized_upper;
           Alcotest.test_case "Pipeline.run end-to-end" `Quick
             test_pipeline_end_to_end;
+          Alcotest.test_case "build_scheme rejects a failed stage" `Quick
+            test_build_scheme_rejects_failed_stage;
         ] );
       ( "pipeline",
         [

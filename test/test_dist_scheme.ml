@@ -501,6 +501,19 @@ let test_setup_timeout () =
     Alcotest.failf "ran into the round limit (%d rounds)"
       o.Routing.Dist_scheme.report.Congest.Metrics.rounds
 
+(* A failed exact stage is never spliced: cut at 150 rounds, the run
+   harvests no cluster, and build_scheme must not route on what is left. *)
+let test_build_scheme_rejects_failed_stage () =
+  let g = Gen.grid ~rng:(Random.State.make [| 3 |]) ~rows:6 ~cols:6 () in
+  let r = Random.State.make [| 71 |] in
+  let o = Routing.Dist_scheme.run ~rng:r ~k:3 ~max_rounds:150 g in
+  Alcotest.(check (list string))
+    "failures" [ "round limit exceeded" ]
+    (List.map Routing.Dist_scheme.failure_to_string o.Routing.Dist_scheme.failures);
+  Alcotest.check_raises "build_scheme"
+    (Invalid_argument "Dist_scheme.build_scheme: exact stage failed: round limit exceeded")
+    (fun () -> ignore (Routing.Dist_scheme.build_scheme ~rng:r g o))
+
 let () =
   Alcotest.run "dist_scheme"
     [
@@ -546,5 +559,7 @@ let () =
         [
           Alcotest.test_case "build_scheme = Scheme.build" `Quick
             test_build_scheme_matches_centralized;
+          Alcotest.test_case "build_scheme rejects a failed stage" `Quick
+            test_build_scheme_rejects_failed_stage;
         ] );
     ]
