@@ -24,8 +24,6 @@ type outcome = {
   fields : Construct.fields;
   hopset : Hopset.t option;
   lambda : int;
-  beta : int;
-  epsilon : float;
   b : int;
   members : int list;
   xlevels : int array;
@@ -516,8 +514,6 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
       fields;
       hopset;
       lambda;
-      beta;
-      epsilon;
       b;
       members;
       xlevels;
@@ -668,7 +664,7 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
     (Dist_scheme.gate_indices mode ~salt:(fun seed -> [| seed; n; 17 |]) m);
   (match o.upper with
   | None -> ()
-  | Some u ->
+  | Some ({ Scheme.Upper_stage.epsilon; beta; _ } as u) ->
     (* hopset edge list: in exact mode re-assembled from the centralized
        fields and compared edge-for-edge; in sampled mode the distributed
        hopset (whose fields were spot-checked above) seeds the run-B
@@ -697,7 +693,7 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
     let estimates =
       List.init (o.k - 1 - o.ih) (fun p ->
           let j = o.ih + 1 + p in
-          (j, Scheme.Upper_stage.pivot_estimate hopset ~beta:o.beta ~levels:o.xlevels j))
+          (j, Scheme.Upper_stage.pivot_estimate hopset ~beta ~levels:o.xlevels j))
     in
     List.iter
       (fun (j, (dist, origin)) ->
@@ -723,7 +719,7 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
     let owners = Array.of_list !owners in
     let check_owner (i, w) =
       let c =
-        Scheme.Upper_stage.wave ~hopset ~epsilon:o.epsilon ~beta:o.beta
+        Scheme.Upper_stage.wave ~hopset ~epsilon ~beta
           ~limits:(Scheme.Upper_stage.limits ~n estimates i)
           g ~level:i ~owner:w
       in

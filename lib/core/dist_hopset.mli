@@ -73,8 +73,6 @@ type outcome = {
       (** the assembled hopset, once run A's fields pass
           {!Hopsets.Construct.assemble} *)
   lambda : int;
-  beta : int;
-  epsilon : float;
   b : int;  (** virtual-edge hop bound, taken from the exact stage *)
   members : int list;  (** [A_{⌈k/2⌉}], ascending *)
   xlevels : int array;  (** exact-hierarchy level per vertex *)

@@ -132,7 +132,6 @@ module Exact_stage = struct
     }
 end
 
-
 (* The upper half of Appendix B as data: the hopset, approximate pivot
    estimates and per-owner cluster waves with their pruned trees, plus the
    phases of whatever computed them. [compute] is the centralized reference,
