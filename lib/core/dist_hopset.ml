@@ -718,7 +718,7 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
     done;
     let owners = Array.of_list !owners in
     let check_owner (i, w) =
-      let c =
+      let { Scheme.Upper_stage.cdist; cparent; joined; tree; _ } =
         Scheme.Upper_stage.wave ~hopset ~epsilon ~beta
           ~limits:(Scheme.Upper_stage.limits ~n estimates i)
           g ~level:i ~owner:w
@@ -732,16 +732,16 @@ let check_against_centralized ~rng ?(mode = Dist_scheme.Exact) g (o : outcome) =
       | None -> err "missing cluster wave of owner %d (level %d)" w i
       | Some cw ->
         for v = 0 to n - 1 do
-          if cw.Scheme.Upper_stage.cdist.(v) <> c.Scheme.Upper_stage.cdist.(v) then
+          if cw.Scheme.Upper_stage.cdist.(v) <> cdist.(v) then
             err "cluster %d: cdist(v%d) distributed %h, centralized %h" w v
-              cw.Scheme.Upper_stage.cdist.(v) c.Scheme.Upper_stage.cdist.(v);
-          if cw.Scheme.Upper_stage.cparent.(v) <> c.Scheme.Upper_stage.cparent.(v) then
+              cw.Scheme.Upper_stage.cdist.(v) cdist.(v);
+          if cw.Scheme.Upper_stage.cparent.(v) <> cparent.(v) then
             err "cluster %d: cparent(v%d) distributed %d, centralized %d" w v
-              cw.Scheme.Upper_stage.cparent.(v) c.Scheme.Upper_stage.cparent.(v);
-          if cw.Scheme.Upper_stage.joined.(v) <> c.Scheme.Upper_stage.joined.(v) then
+              cw.Scheme.Upper_stage.cparent.(v) cparent.(v);
+          if cw.Scheme.Upper_stage.joined.(v) <> joined.(v) then
             err "cluster %d: joined(v%d) differs" w v
         done;
-        if cw.Scheme.Upper_stage.tree <> c.Scheme.Upper_stage.tree then
+        if cw.Scheme.Upper_stage.tree <> tree then
           err "cluster %d: pruned tree differs" w
     in
     List.iter

@@ -144,7 +144,11 @@ module Upper_stage : sig
   }
 
   val pivot_estimate :
-    Hopsets.Hopset.t -> beta:int -> levels:int array -> int -> float array * int array
+    Hopsets.Hopset.t ->
+    beta:int ->
+    levels:int array ->
+    int ->
+    float array * int array
   (** [pivot_estimate h ~beta ~levels j]: [(d̂(·, A_j), origin)] from [β]
       Bellman–Ford iterations on [G' ∪ H] rooted at every vertex of level
       [>= j]; infinity and [-1] if there is none. *)
@@ -190,8 +194,9 @@ module Upper_stage : sig
     t
   (** Centralized reference: {!Hopsets.Construct.tz_hopset} on [rng] over
       [V' = A_{ih}], one {!pivot_estimate} per high level and one {!wave}
-      per high-level owner, with the paper's "hopset", "approx pivots
-      level j" and "approx clusters level i" charges in [phases]. [rng]
+      per high-level owner, with the paper's charges in [phases]: "hopset",
+      "approx pivots level j" per non-empty [A_j] and "approx clusters
+      level i" per level [ih..k-1]. [rng]
       must be where {!build}'s sampling leaves it for bit-identical output,
       and [params.b] the bound of the exact stage's virtual wave, if it ran
       one. *)
