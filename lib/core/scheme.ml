@@ -157,8 +157,6 @@ module Upper_stage = struct
     phases : Cost.t;
   }
 
-  (* [β] Bellman–Ford iterations on G' ∪ H from every vertex of level >= j;
-     infinity and no attribution when there is none *)
   let pivot_estimate hopset ~beta ~levels j =
     let n = Array.length levels in
     let srcs = ref [] in
