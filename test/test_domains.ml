@@ -181,6 +181,65 @@ let test_scheme_domains () =
         o.Routing.Dist_scheme.phase_rounds)
     [ 2; 4 ]
 
+(* --- dist-hopset: both upper-stage runs across domains and transports --- *)
+
+(* The exact stage once, then the upper stage (run A and run B) on a copy of
+   the rng it left, at the given domain count and transport. *)
+let upper_runs g ~seed ~k =
+  let r = Random.State.make [| seed; 91 |] in
+  let ds = Routing.Dist_scheme.run ~rng:r ~k ~max_rounds:500_000 g in
+  if ds.Routing.Dist_scheme.failures <> [] then
+    Alcotest.failf "exact stage: %s"
+      (String.concat " | "
+         (List.map Routing.Dist_scheme.failure_to_string
+            ds.Routing.Dist_scheme.failures));
+  fun ~domains ~reliable ->
+    let o =
+      Routing.Dist_hopset.run ~rng:(Random.State.copy r) ~reliable ~domains
+        ~max_rounds:500_000 g ds
+    in
+    if o.Routing.Dist_hopset.upper = None then
+      Alcotest.failf "upper stage (domains=%d, reliable=%b): %s" domains reliable
+        (String.concat " | "
+           (List.map Routing.Dist_hopset.failure_to_string
+              o.Routing.Dist_hopset.failures));
+    o
+
+let check_upper_domains g ~seed ~k =
+  let run = upper_runs g ~seed ~k in
+  let base = run ~domains:1 ~reliable:false in
+  let same what (o : Routing.Dist_hopset.outcome) =
+    Alcotest.(check bool)
+      (what ^ ": upper record") true
+      (base.Routing.Dist_hopset.upper = o.Routing.Dist_hopset.upper);
+    Alcotest.(check (list (pair string int)))
+      (what ^ ": phase rounds") base.Routing.Dist_hopset.phase_rounds
+      o.Routing.Dist_hopset.phase_rounds
+  in
+  List.iter
+    (fun d ->
+      let o = run ~domains:d ~reliable:false in
+      let what = Printf.sprintf "domains=%d" d in
+      Alcotest.(check string)
+        (what ^ ": metrics")
+        (Export.Json.to_string (Export.metrics base.Routing.Dist_hopset.report))
+        (Export.Json.to_string (Export.metrics o.Routing.Dist_hopset.report));
+      same what o)
+    [ 2; 3 ];
+  (* fault-free Reliable: virtual rounds, the same record *)
+  same "reliable" (run ~domains:1 ~reliable:true)
+
+let test_upper_domains () =
+  (* the 6x6 pin instance of test_dist_hopset, and a weighted ER graph *)
+  check_upper_domains
+    (Gen.grid ~rng:(Random.State.make [| 70; 91 |]) ~rows:6 ~cols:6 ())
+    ~seed:71 ~k:3;
+  check_upper_domains
+    (Gen.connected_erdos_renyi
+       ~rng:(Random.State.make [| 0x5c4e; 79 |])
+       ~weights:(Gen.uniform_weights 1.0 4.0) ~n:48 ~avg_deg:3.5 ())
+    ~seed:80 ~k:3
+
 (* trace phase totals: the partition of rounds into phases must be identical
    whatever the domain count *)
 let test_trace_phase_totals () =
@@ -301,6 +360,8 @@ let () =
             test_scheme_domains;
           Alcotest.test_case "trace phase totals identical" `Quick
             test_trace_phase_totals;
+          Alcotest.test_case "dist-hopset runs A and B identical" `Quick
+            test_upper_domains;
         ] );
       ( "edge-cases",
         [
