@@ -445,7 +445,7 @@ module Make (M : Sim.MESSAGE) = struct
 
   (* finish virtual round [ep.vr], wait out the synchronizer, enter the next
      round and append the data delivered for it to the view (in port order,
-     oldest first within a port) *)
+     newest first within a port, the order [Sim] delivers in) *)
   let advance_one ep =
     for i = 0 to Array.length ep.links - 1 do
       let l = ep.links.(i) in
@@ -468,9 +468,13 @@ module Make (M : Sim.MESSAGE) = struct
       let h = ref 0 in
       while !h < Slab.length d && Slab.get d !h < ep.vr do
         ep.buffered <- ep.buffered - 1 - Slab.get d (!h + 1);
-        let b = V.add ep.view l.port in
-        Slab.blit ~src:d ~src_pos:(!h + 2) ~dst:ep.view ~dst_pos:b ~len:M.slots;
         h := !h + dstride
+      done;
+      let r = ref (!h - dstride) in
+      while !r >= 0 do
+        let b = V.add ep.view l.port in
+        Slab.blit ~src:d ~src_pos:(!r + 2) ~dst:ep.view ~dst_pos:b ~len:M.slots;
+        r := !r - dstride
       done;
       Slab.shift d !h
     done

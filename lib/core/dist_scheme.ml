@@ -2,17 +2,27 @@ open Dgraph
 
 (* Appendix B's exact stage, message-by-message: one [Superstep] run. The
    phase plan is the pivot phases, the cluster phases and the virtual wave,
-   one segment each. In the per-vertex hooks a superstep performs exactly
-   one (delta-encoded) Bellman-Ford iteration: entries that improved since
-   the previous barrier are offered to every neighbour except the one they
-   were learned from. Pivot and cluster phases end on quiescence; the
-   virtual wave is cut at exactly [B] supersteps - its hop bound is
-   definitional, not a convergence aid. The same waves build the hopset
-   hierarchy's fields in [Dist_hopset]'s run A. *)
+   one segment each. Entries that improved are offered to every neighbour
+   except the one they were learned from. Pivot waves are continuous
+   segments: each wake-up offers what its data changed, and the engine
+   closes the phase by termination detection. The virtual wave keeps the
+   barrier, where a superstep performs exactly one (delta-encoded)
+   Bellman-Ford iteration, and is cut at exactly [B] supersteps - its hop
+   bound is definitional, not a convergence aid. Cluster waves are
+   continuous when the deposit ignores the parent; otherwise they keep the
+   barrier and end on quiescence, since the parent is decided by arrival.
+   The same waves build the hopset hierarchy's fields in [Dist_hopset]'s
+   run A. *)
 
 type failure = Superstep.failure =
   | Setup_timeout of { vertex : int; round : int }
-  | Stalled of { vertex : int; round : int; phase : string; superstep : int }
+  | Stalled of {
+      vertex : int;
+      round : int;
+      phase : string;
+      superstep : int;
+      continuous : bool;
+    }
   | Link_lost of { vertex : int; neighbor : int; reason : string }
   | Harvest of { vertex : int; reason : string }
   | Transport of string
@@ -23,12 +33,12 @@ let pp_failure = Superstep.pp_failure
 type wave = Setup | Pivot of int | Cluster of int | Virtual
 
 (* Per-source wave entry held by one vertex: current best distance, the port
-   it was learned from (-1 for seeds) and whether it changed since the last
-   barrier snapshot. *)
+   it was learned from (-1 for seeds) and whether it changed since it was
+   last offered. *)
 type entry = { mutable d : float; mutable port : int; mutable dirty : bool }
 
-let waves ~levels ~pivots ~clusters ?virtual_b ~name ~detail ~words ~deposit
-    ?faults ?reliable ?config ?trace ?max_rounds ?domains g =
+let waves ~levels ~pivots ~clusters ?virtual_b ~cluster_parents ~name ~detail
+    ~words ~deposit ?faults ?reliable ?config ?trace ?max_rounds ?domains g =
   let n = Graph.n g in
   (* phases 0..pivots-1 are pivot levels 1..pivots, then cluster levels
      0..clusters-1, then the virtual wave if any; every phase one segment *)
@@ -39,12 +49,16 @@ let waves ~levels ~pivots ~clusters ?virtual_b ~name ~detail ~words ~deposit
     else if p < pivots + clusters then Cluster (p - pivots)
     else Virtual
   in
-  let budget = function Virtual -> Option.get virtual_b | _ -> (2 * n) + 4 in
+  let kind = function
+    | Virtual -> Superstep.Barrier (Option.get virtual_b)
+    | Cluster _ when cluster_parents -> Superstep.Barrier ((2 * n) + 4)
+    | Pivot _ | Cluster _ | Setup -> Superstep.Continuous
+  in
   let plan =
     {
       Superstep.phases = n_phases;
-      segments = (fun p -> [| budget (wave p) |]);
-      budget = Fun.id;
+      segments = (fun p -> [| kind (wave p) |]);
+      kind = Fun.id;
       name = (fun p -> name (wave p));
       detail = (fun p -> detail (wave p));
     }
@@ -58,19 +72,57 @@ let waves ~levels ~pivots ~clusters ?virtual_b ~name ~detail ~words ~deposit
     let p_dist = ref infinity and p_src = ref (-1) and p_port = ref (-1) in
     let p_dirty = ref false in
     let table : (int, entry) Hashtbl.t = Hashtbl.create 8 in
+    (* the open phase, and whether it is continuous *)
+    let cur = ref Setup and cont = ref false in
+    (* a continuous cluster phase's dirty keys, so a wake-up offers what it
+       changed without scanning the table; a barrier phase scans instead,
+       in the table's order *)
+    let dirty = ref [||] and n_dirty = ref 0 in
+    let push key =
+      if !cont then begin
+        if !n_dirty = Array.length !dirty then begin
+          let a = Array.make (max 8 (2 * !n_dirty)) 0 in
+          Array.blit !dirty 0 a 0 !n_dirty;
+          dirty := a
+        end;
+        !dirty.(!n_dirty) <- key;
+        incr n_dirty
+      end
+    in
+    let add key e =
+      Hashtbl.add table key e;
+      push key
+    in
+    let touch key e =
+      if not e.dirty then begin
+        e.dirty <- true;
+        push key
+      end
+    in
     (* d(me, A_j) once pivot phase j closed; infinity above [pivots], so
        the top cluster levels are unbounded *)
     let my_level_dist = Array.make (max pivots clusters + 1) infinity in
     let offer ~except key dist = Superstep.enqueue_all ctx ~except (Offer { key; dist }) in
     let via port = if port < 0 then -1 else neighbors.(port) in
-    (* barrier snapshot: dirty entries become this superstep's offers *)
+    (* dirty entries become offers: at a barrier snapshot, or after a
+       wake-up of a continuous phase *)
     let snapshot () =
-      match wave (Superstep.phase ctx) with
+      match !cur with
       | Pivot _ ->
         if !p_dirty then begin
           p_dirty := false;
           offer ~except:!p_port !p_src !p_dist
         end
+      | Cluster i when !cont ->
+        for j = 0 to !n_dirty - 1 do
+          let w = !dirty.(j) in
+          let e = Hashtbl.find table w in
+          if e.dirty then begin
+            e.dirty <- false;
+            if w = me || e.d < my_level_dist.(i + 1) then offer ~except:e.port w e.d
+          end
+        done;
+        n_dirty := 0
       | Cluster i ->
         Hashtbl.iter
           (fun w e ->
@@ -90,7 +142,7 @@ let waves ~levels ~pivots ~clusters ?virtual_b ~name ~detail ~words ~deposit
       | Setup -> ()
     in
     let finalize_phase () =
-      let wv = wave (Superstep.phase ctx) in
+      let wv = !cur in
       match wv with
       | Pivot j ->
         deposit ~me wv ~key:!p_src !p_dist ~via:(via !p_port);
@@ -104,9 +156,11 @@ let waves ~levels ~pivots ~clusters ?virtual_b ~name ~detail ~words ~deposit
         Hashtbl.reset table
       | Setup -> ()
     in
-    let seed_self () = Hashtbl.add table me { d = 0.0; port = -1; dirty = true } in
+    let seed_self () = add me { d = 0.0; port = -1; dirty = true } in
     let seed () =
-      match wave (Superstep.phase ctx) with
+      cur := wave (Superstep.phase ctx);
+      cont := kind !cur = Superstep.Continuous;
+      match !cur with
       | Pivot j ->
         if my_level >= j then begin
           p_dist := 0.0;
@@ -121,7 +175,7 @@ let waves ~levels ~pivots ~clusters ?virtual_b ~name ~detail ~words ~deposit
     let on_data port = function
       | Superstep.Offer { key; dist } -> (
         let nd = dist +. weights.(port) in
-        match wave (Superstep.phase ctx) with
+        match !cur with
         | Pivot _ ->
           (* lexicographic (dist, src): the unique order-independent
              fixpoint equals Sssp.dijkstra_sources bit-for-bit *)
@@ -137,9 +191,9 @@ let waves ~levels ~pivots ~clusters ?virtual_b ~name ~detail ~words ~deposit
             if nd < e.d then begin
               e.d <- nd;
               e.port <- port;
-              e.dirty <- true
+              touch key e
             end
-          | None -> Hashtbl.add table key { d = nd; port; dirty = true })
+          | None -> add key { d = nd; port; dirty = true })
         | Setup -> ())
       | _ -> () (* these waves send Offer only *)
     in
@@ -157,6 +211,7 @@ type outcome = {
   members : int list;
   report : Congest.Metrics.t;
   phase_rounds : (string * int) list;
+  phase_traffic : (string * Superstep.traffic) list;
   failures : failure list;
 }
 
@@ -219,7 +274,8 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?domains g =
     | Setup -> ()
   in
   let r =
-    waves ~levels ~pivots:ih ~clusters:ih ~virtual_b:b ~name ~detail
+    waves ~levels ~pivots:ih ~clusters:ih ~virtual_b:b ~cluster_parents:true
+      ~name ~detail
       ~words:(fun entries -> 14 + (ih + 2) + 3 + (4 * entries))
       ~deposit ?faults ?reliable ?config ?trace ?max_rounds ?domains g
   in
@@ -298,6 +354,7 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?domains g =
     members = !members;
     report = r.Superstep.metrics;
     phase_rounds = List.map (fun (p : Cost.phase) -> (p.Cost.name, p.Cost.rounds)) r.Superstep.phases;
+    phase_traffic = r.Superstep.traffic;
     failures = r.Superstep.failures @ List.rev !post;
   }
 

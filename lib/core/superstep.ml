@@ -2,7 +2,13 @@ open Dgraph
 
 type failure =
   | Setup_timeout of { vertex : int; round : int }
-  | Stalled of { vertex : int; round : int; phase : string; superstep : int }
+  | Stalled of {
+      vertex : int;
+      round : int;
+      phase : string;
+      superstep : int;
+      continuous : bool;
+    }
   | Link_lost of { vertex : int; neighbor : int; reason : string }
   | Harvest of { vertex : int; reason : string }
   | Transport of string
@@ -10,9 +16,11 @@ type failure =
 let failure_to_string = function
   | Setup_timeout { vertex; round } ->
     Printf.sprintf "v%d: setup timed out: no phase start by round %d" vertex round
-  | Stalled { vertex; round; phase; superstep } ->
-    Printf.sprintf "v%d: watchdog: no traffic or progress by round %d (phase %s, superstep %d)"
-      vertex round phase superstep
+  | Stalled { vertex; round; phase; superstep; continuous } ->
+    Printf.sprintf "v%d: watchdog: no traffic or progress by round %d (phase %s, %s %d)"
+      vertex round phase
+      (if continuous then "detection wave" else "superstep")
+      superstep
   | Link_lost { vertex; neighbor; reason } ->
     Printf.sprintf "v%d: link to v%d lost: %s" vertex neighbor reason
   | Harvest { vertex; reason } -> Printf.sprintf "v%d: %s" vertex reason
@@ -136,10 +144,12 @@ end
 module S = Congest.Sim.Make (M)
 module R = Congest.Reliable.Make (M)
 
+type kind = Barrier of int | Continuous
+
 type 'seg plan = {
   phases : int;
   segments : int -> 'seg array;
-  budget : 'seg -> int;
+  kind : 'seg -> kind;
   name : int -> string;
   detail : int -> string;
 }
@@ -217,11 +227,17 @@ type hooks = {
   words : unit -> int;
 }
 
+type traffic = { data : int; control : int; supersteps : int; waves : int }
+
 type result = {
   metrics : Congest.Metrics.t;
   phases : Cost.phase list;
+  traffic : (string * traffic) list;
   failures : failure list;
 }
+
+(* a Done that reports a moved subtree in a continuous segment *)
+let moved = min_int
 
 let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
     ?max_rounds ?domains g =
@@ -253,6 +269,13 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
     let cur = Atomic.get cell in
     if v > cur && not (Atomic.compare_and_set cell cur v) then peak_max cell v
   in
+  (* messages sent per phase (index = phase + 1): each vertex counts its
+     own and adds them here once, when it leaves the phase *)
+  let phase_data = Array.init (n_phases + 1) (fun _ -> Atomic.make 0) in
+  let phase_ctrl = Array.init (n_phases + 1) (fun _ -> Atomic.make 0) in
+  (* supersteps and detection waves per phase, counted by the root alone *)
+  let phase_steps = Array.make (n_phases + 1) 0 in
+  let phase_waves = Array.make (n_phases + 1) 0 in
   (* (phase, rounds), newest first; written by the root only *)
   let marks = ref [] in
   (* one failure slot per vertex: a single writer each *)
@@ -288,7 +311,9 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
     and bfs_children = ref 0
     and echoes = ref 0 in
     let is_child = Array.make (max 1 deg) false in
-    (* ---- barrier state ---- *)
+    (* ---- barrier and detection state: [superstep] counts the current
+       segment's supersteps or detection waves, [in_superstep] is set while
+       this vertex owes the open one a Done ---- *)
     let superstep = ref 0
     and in_superstep = ref false
     and done_sent = ref false
@@ -297,6 +322,16 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
     and phase_start = ref 0
     and last_drain = ref (-1)
     and last_progress = ref 0 in
+    (* continuous segments: data handled since the open, the (sent,
+       received) pair at this vertex's previous Done, and whether a child's
+       subtree reported a move in the open wave *)
+    let continuous = ref false
+    and received = ref 0
+    and seen_sent = ref 0
+    and seen_received = ref 0
+    and children_moved = ref false in
+    (* messages this vertex sent in the current phase *)
+    let n_data = ref 0 and n_ctrl = ref 0 in
     let agenda = ref [] in
     let schedule r a =
       let rec ins = function
@@ -320,6 +355,7 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
     let port_used p = if !ctrl_round = T.round () then ctrl.(p) else 0 in
     let send_ctrl p m =
       note_send p;
+      incr n_ctrl;
       T.send p m
     in
     let bc_down m =
@@ -332,19 +368,56 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
       T.set_memory words;
       peak_max phase_peak.(min n_phases (c.phase + 1)) words
     in
-    let snapshot () =
+    (* a superstep or a detection wave opens at this vertex *)
+    let open_wave () =
       in_superstep := true;
       done_sent := false;
       done_children := 0;
       children_sent := 0;
+      children_moved := false
+    in
+    let snapshot () =
+      open_wave ();
       c.own_sent <- 0;
       c.ss_id <- c.ss_id + 1;
       h.snapshot ()
     in
-    let open_phase () =
-      c.phase <- c.phase + 1;
-      c.seg <- 0;
+    (* the value this vertex's Done carries: a barrier superstep's sends,
+       or a detection wave's sent - received balance unless this vertex's
+       pair or a child's subtree moved since the previous wave *)
+    let tally () =
+      if !continuous then begin
+        let still =
+          (not !children_moved) && c.own_sent = !seen_sent && !received = !seen_received
+        in
+        seen_sent := c.own_sent;
+        seen_received := !received;
+        if still then c.own_sent - !received + !children_sent else moved
+      end
+      else c.own_sent + !children_sent
+    in
+    let open_segment () =
       superstep := 0;
+      continuous := plan.kind c.segs.(c.seg) = Continuous;
+      c.own_sent <- 0;
+      received := 0;
+      seen_sent := 0;
+      seen_received := 0;
+      h.seg_start ();
+      if !continuous then begin
+        open_wave ();
+        h.snapshot ()
+      end
+      else snapshot ()
+    in
+    let open_phase () =
+      let i = c.phase + 1 in
+      ignore (Atomic.fetch_and_add phase_data.(i) !n_data);
+      ignore (Atomic.fetch_and_add phase_ctrl.(i) !n_ctrl);
+      n_data := 0;
+      n_ctrl := 0;
+      c.phase <- i;
+      c.seg <- 0;
       if c.phase >= n_phases then begin
         c.finished <- true;
         phase_trace_end ()
@@ -354,8 +427,7 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
         if is_root then phase_start := T.round ();
         c.segs <- plan.segments c.phase;
         h.seed ();
-        h.seg_start ();
-        snapshot ()
+        open_segment ()
       end
     in
     let on_next () =
@@ -366,15 +438,11 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
       else begin
         h.finalize_seg ();
         c.seg <- c.seg + 1;
-        superstep := 0;
         if c.seg >= Array.length c.segs then begin
           h.finalize_phase ();
           open_phase ()
         end
-        else begin
-          h.seg_start ();
-          snapshot ()
-        end
+        else open_segment ()
       end
     in
     let echo_up () =
@@ -399,7 +467,7 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
         else if port_used !bfs_parent_port < 2 then begin
           done_sent := true;
           in_superstep := false;
-          send_ctrl !bfs_parent_port (Done { sent = c.own_sent + !children_sent })
+          send_ctrl !bfs_parent_port (Done { sent = tally () })
         end
         else
           (* parent edge is at capacity this round (the drain just emptied
@@ -423,11 +491,12 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
         if !echoes = !bfs_children then echo_up ()
       | Done { sent } ->
         incr done_children;
-        children_sent := !children_sent + sent
+        if sent = moved then children_moved := true
+        else children_sent := !children_sent + sent
       | Advance when port = !bfs_parent_port ->
         bc_down Advance;
         incr superstep;
-        snapshot ()
+        if !continuous then open_wave () else snapshot ()
       | Next when port = !bfs_parent_port ->
         bc_down Next;
         on_next ()
@@ -436,9 +505,19 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
     let run_action = function
       | A_bfs_echo_check -> if !bfs_children = 0 then echo_up ()
       | A_decide ->
-        let total = c.own_sent + !children_sent in
+        let total = tally () in
         incr superstep;
-        if total = 0 || !superstep >= plan.budget c.segs.(c.seg) then begin
+        let cell = c.phase + 1 in
+        let close =
+          match plan.kind c.segs.(c.seg) with
+          | Continuous ->
+            phase_waves.(cell) <- phase_waves.(cell) + 1;
+            total = 0
+          | Barrier budget ->
+            phase_steps.(cell) <- phase_steps.(cell) + 1;
+            total = 0 || !superstep >= budget
+        in
+        if close then begin
           if c.seg = Array.length c.segs - 1 then
             marks := (c.phase, T.round () - !phase_start) :: !marks;
           bc_down Next;
@@ -446,7 +525,7 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
         end
         else begin
           bc_down Advance;
-          snapshot ()
+          if !continuous then open_wave () else snapshot ()
         end
       | A_complete -> maybe_complete ()
       | A_watchdog ->
@@ -467,6 +546,7 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
                      round = T.round ();
                      phase = plan.name c.phase;
                      superstep = !superstep;
+                     continuous = !continuous;
                    })
           else schedule (T.round () + watchdog_interval) A_watchdog
         end
@@ -483,6 +563,7 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
             c.queued <- c.queued - 1;
             decr budget;
             note_send p;
+            incr n_data;
             T.send p m
           done
         done
@@ -535,14 +616,19 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
               if T.port ib i = parent && is_barrier_tag (T.slot ib i 0) then
                 on_control parent (T.msg ib i)
             done;
+          let received0 = !received in
           for i = 0 to records - 1 do
             let p = T.port ib i in
             if p <> parent || not (is_barrier_tag (T.slot ib i 0)) then
               match T.msg ib i with
               | (Bfs _ | Bfs_adopt | Bfs_echo | Done _ | Advance | Next) as m ->
                 on_control p m
-              | (Offer _ | Offer2 _ | Relay _ | Rec_req _ | Rec _) as m -> h.on_data p m
-          done
+              | (Offer _ | Offer2 _ | Relay _ | Rec_req _ | Rec _) as m ->
+                incr received;
+                h.on_data p m
+          done;
+          (* a continuous segment queues what this wake-up's data changed *)
+          if !continuous && !received > received0 && not c.finished then h.snapshot ()
         end;
         (match T.dead_ports () with [] -> () | dead -> check_dead dead);
         run_due ();
@@ -576,10 +662,11 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
       [ Transport (Format.asprintf "%a" Congest.Sim.pp_outcome oc) ]
     | Congest.Sim.Round_limit -> [ Transport "round limit exceeded" ]
   in
+  let marks = List.rev !marks in
   {
     metrics = report.Congest.Sim.metrics;
     phases =
-      List.rev_map
+      List.map
         (fun (p, rounds) ->
           {
             Cost.name = plan.name p;
@@ -587,7 +674,18 @@ let run ~(plan : _ plan) ~vertex ?faults ?reliable ?config ?trace
             rounds;
             peak_memory = Atomic.get phase_peak.(p + 1);
           })
-        !marks;
+        marks;
+    traffic =
+      List.map
+        (fun (p, _) ->
+          ( plan.name p,
+            {
+              data = Atomic.get phase_data.(p + 1);
+              control = Atomic.get phase_ctrl.(p + 1);
+              supersteps = phase_steps.(p + 1);
+              waves = phase_waves.(p + 1);
+            } ))
+        marks;
     failures =
       transport @ Array.fold_right (fun fs acc -> List.rev_append fs acc) fail_slots [];
   }

@@ -4,30 +4,43 @@
     {!Dist_scheme} and {!Dist_hopset} both run root-synchronized
     Bellman–Ford phases over one BFS tree rooted at vertex 0. This engine
     owns everything but the waves: the message type {!msg} with its codec,
-    the BFS setup and its echo, the Done/Advance/Next barrier (a phase is a
-    sequence of segments, a segment a sequence of supersteps the root cuts
-    on quiescence or at its budget), the per-port data queues drained
-    within edge capacity 2 after control traffic, the watchdog and typed
-    failures, the per-phase memory peaks, the measured phase spans and the
-    choice of transport. A stage supplies a {!plan} and, per vertex, a
-    {!hooks} record.
+    the BFS setup and its echo, the Done/Advance/Next control traffic (a
+    phase is a sequence of segments, each of one {!kind}: a {e barrier}
+    segment is a sequence of supersteps the root cuts on quiescence or at
+    its budget, a {e continuous} one sends data as soon as edges have
+    capacity and the root closes it by termination detection), the
+    per-port data queues drained within edge capacity 2 after control
+    traffic, the watchdog and typed failures, the per-phase memory peaks,
+    spans and traffic, and the choice of transport. A stage supplies a
+    {!plan} and, per vertex, a {!hooks} record.
 
     Two timing invariants make phase and superstep tags unnecessary on
-    data: the root defers each end-of-superstep decision by one round, so
-    an Advance/Next reaches any vertex strictly after every data message of
-    the superstep it closes; and each vertex handles its BFS parent's
-    Advance/Next records before the rest of its inbox, since data sharing
-    an inbox with the barrier that opens its superstep comes from a
-    one-round-shallower neighbour. The inbox is read in place and each
-    record decoded once. DESIGN.md §16 gives the argument. *)
+    data: the root defers each decision by one round, so an Advance/Next
+    reaches any vertex strictly after every data message of the superstep
+    it closes; and each vertex handles its BFS parent's Advance/Next
+    records before the rest of its inbox, since data sharing an inbox with
+    the barrier that opens its segment or superstep comes from a
+    one-round-shallower neighbour. A continuous segment closes only when
+    repeated Done convergecasts of per-vertex (sent, received) counts show
+    that no data is queued or in flight (Mattern's four-counter method).
+    The inbox is read in place and each record decoded once. DESIGN.md §16
+    gives the argument. *)
 
 type failure =
   | Setup_timeout of { vertex : int; round : int }
       (** the BFS setup never opened phase 0 at this vertex *)
-  | Stalled of { vertex : int; round : int; phase : string; superstep : int }
+  | Stalled of {
+      vertex : int;
+      round : int;
+      phase : string;
+      superstep : int;
+      continuous : bool;
+    }
       (** watchdog: no message traffic and no barrier progress for a whole
           interval — the typed outcome of a wedged stage (e.g. a crash-stop
-          fault partitioning the barrier tree) instead of a hang *)
+          fault partitioning the barrier tree) instead of a hang.
+          [superstep] counts the segment's supersteps, or its detection
+          waves when the segment is [continuous] *)
   | Link_lost of { vertex : int; neighbor : int; reason : string }
       (** the reliable layer declared an incident edge dead; every edge
           carries wave data, so the stage cannot complete *)
@@ -48,8 +61,12 @@ type msg =
   | Bfs_echo  (** setup: the sender's subtree is complete *)
   | Done of { sent : int }
       (** convergecast: data messages the sender's subtree sent in this
-          superstep *)
-  | Advance  (** broadcast: open the next superstep of this segment *)
+          superstep; in a continuous segment, the subtree's sent − received
+          balance, or [min_int] if any of its vertices sent or received
+          data since the previous detection wave *)
+  | Advance
+      (** broadcast: open the next superstep, or detection wave, of this
+          segment *)
   | Next  (** broadcast: close the segment, open the next one or phase *)
   | Offer of { key : int; dist : float }
       (** a wave entry: its source or owner and the sender's distance *)
@@ -67,10 +84,22 @@ include Congest.Sim.MESSAGE with type t = msg
 (** [words] is the accounted CONGEST size (at most 6); [slots] is 7, the
     widest record ([Relay]: tag, four ints, a float in two slots). *)
 
+(** How a segment advances and ends. *)
+type kind =
+  | Barrier of int
+      (** supersteps cut by Advance; the root closes the segment at the
+          first superstep that sends no data, or after this many *)
+  | Continuous
+      (** no supersteps: data leaves as soon as its edge has capacity, and
+          the root closes the segment once two consecutive detection waves
+          find every vertex's (sent, received) unchanged and the totals
+          equal. For segments whose result depends neither on arrival
+          order nor on superstep boundaries. *)
+
 type 'seg plan = {
   phases : int;
   segments : int -> 'seg array;  (** a phase's segments, in order *)
-  budget : 'seg -> int;  (** supersteps after which the root cuts a segment *)
+  kind : 'seg -> kind;
   name : int -> string;  (** phase name; phase [-1] is the setup *)
   detail : int -> string;
 }
@@ -85,10 +114,11 @@ val phase : 'seg ctx -> int
 val segment : 'seg ctx -> 'seg
 
 val superstep_id : 'seg ctx -> int
-(** Increases at every barrier snapshot. *)
+(** Increases at every barrier snapshot, not in continuous segments. *)
 
 val enqueue : 'seg ctx -> int -> msg -> unit
-(** Queue data on one port; counted as sent in this superstep. *)
+(** Queue data on one port; counted as sent in this superstep, or in this
+    continuous segment. *)
 
 val enqueue_all : 'seg ctx -> except:int -> msg -> unit
 
@@ -98,7 +128,10 @@ val fail : 'seg ctx -> failure -> unit
 type hooks = {
   seed : unit -> unit;  (** a phase opens: plant this vertex's sources *)
   seg_start : unit -> unit;  (** a segment opens (after [seed]) *)
-  snapshot : unit -> unit;  (** a superstep opens: queue its data *)
+  snapshot : unit -> unit;
+      (** queue data: when a barrier superstep opens; when a continuous
+          segment opens (after [seg_start]) and after each of its wake-ups
+          that delivered data *)
   on_data : int -> msg -> unit;  (** data arrived on a port *)
   finalize_seg : unit -> unit;  (** a segment closed *)
   finalize_phase : unit -> unit;  (** a phase closed: deposit results *)
@@ -107,11 +140,22 @@ type hooks = {
           message and declares the sum as the vertex's memory *)
 }
 
+(** What a phase sent, counted per vertex by the engine and summed once
+    per phase: engine-level sends, so over {!Congest.Reliable} neither
+    retransmissions nor the transport's own frames. *)
+type traffic = {
+  data : int;  (** stage data messages *)
+  control : int;  (** BFS setup, Done, Advance and Next *)
+  supersteps : int;  (** barrier supersteps the root decided *)
+  waves : int;  (** detection waves of continuous segments *)
+}
+
 type result = {
   metrics : Congest.Metrics.t;
   phases : Cost.phase list;
       (** setup first: measured rounds (virtual over {!Congest.Reliable})
           and the peak words of any vertex *)
+  traffic : (string * traffic) list;  (** per phase, aligned with [phases] *)
   failures : failure list;  (** the transport's, then per vertex by id *)
 }
 

@@ -318,7 +318,7 @@ let verdict =
     ( = )
 
 let test_stage_verdicts () =
-  (* the pinned 6x6 grid below: the exact stage finishes in 433 rounds, so a
+  (* the pinned 6x6 grid below: the exact stage finishes in 412 rounds, so a
      600-round limit stops only the upper stage. Its gate must read
      skipped while the exact stage's still reads identical. *)
   let g = Gen.grid ~rng:(rng 70) ~rows:6 ~cols:6 () in
@@ -326,7 +326,7 @@ let test_stage_verdicts () =
     Routing.Pipeline.run ~rng:(rng 71) ~k:3 ?check ?max_rounds g
   in
   let p = run ~max_rounds:600 () in
-  Alcotest.(check int) "exact rounds" 433
+  Alcotest.(check int) "exact rounds" 412
     p.Routing.Pipeline.exact.Routing.Dist_scheme.report.Congest.Metrics.rounds;
   if p.Routing.Pipeline.exact.Routing.Dist_scheme.failures <> [] then
     fail_failures "exact stage"
@@ -387,26 +387,26 @@ let test_engine_pin () =
   let phases =
     [
       ("hopset setup (BFS)", 23);
-      ("hopset levels 1", 147);
-      ("hopset levels 2", 189);
-      ("hopset bunches level 0", 126);
-      ("hopset bunches level 1", 168);
-      ("hopset bunches level 2", 210);
+      ("hopset levels 1", 63);
+      ("hopset levels 2", 63);
+      ("hopset bunches level 0", 63);
+      ("hopset bunches level 1", 63);
+      ("hopset bunches level 2", 63);
       ("approx setup (BFS)", 23);
-      ("approx pivots level 2", 1759);
-      ("approx clusters level 1", 1897);
-      ("approx clusters level 2", 2551);
+      ("approx pivots level 2", 943);
+      ("approx clusters level 1", 1025);
+      ("approx clusters level 2", 1479);
     ]
   in
   let raw =
     Routing.Dist_hopset.run ~rng:(Random.State.copy r) ~max_rounds:500_000 g ds
   in
-  check_pin "raw" raw ~rounds:7113 ~messages:45039 ~peak:620 ~phases;
+  check_pin "raw" raw ~rounds:3828 ~messages:34889 ~peak:322 ~phases;
   let rel =
     Routing.Dist_hopset.run ~rng:(Random.State.copy r) ~faults
       ~max_rounds:500_000 g ds
   in
-  check_pin "reliable" rel ~rounds:51893 ~messages:1844565 ~peak:660 ~phases
+  check_pin "reliable" rel ~rounds:28597 ~messages:1009953 ~peak:463 ~phases
 
 (* Each phase's (name, rounds, peak words) on the pin instance, for the
    exact stage and both upper-stage runs, over the raw transport and over
@@ -432,7 +432,7 @@ let test_phase_pin () =
   let exact_phases =
     [
       ("hierarchy sampling + BFS setup", 23, 20);
-      ("exact pivots level 1", 84, 20);
+      ("exact pivots level 1", 63, 20);
       ("exact clusters level 0", 63, 50);
       ("virtual edges (B-bounded wave)", 253, 98);
     ]
@@ -440,15 +440,15 @@ let test_phase_pin () =
   let upper_phases =
     [
       ("hopset setup (BFS)", 23, 20);
-      ("hopset levels 1", 147, 20);
-      ("hopset levels 2", 189, 20);
-      ("hopset bunches level 0", 126, 76);
-      ("hopset bunches level 1", 168, 36);
-      ("hopset bunches level 2", 210, 36);
+      ("hopset levels 1", 63, 20);
+      ("hopset levels 2", 63, 20);
+      ("hopset bunches level 0", 63, 76);
+      ("hopset bunches level 1", 63, 36);
+      ("hopset bunches level 2", 63, 36);
       ("approx setup (BFS)", 23, 160);
-      ("approx pivots level 2", 1759, 244);
-      ("approx clusters level 1", 1897, 369);
-      ("approx clusters level 2", 2551, 620);
+      ("approx pivots level 2", 943, 178);
+      ("approx clusters level 1", 1025, 266);
+      ("approx clusters level 2", 1479, 322);
     ]
   in
   let exact what (ds : Routing.Dist_scheme.outcome) =

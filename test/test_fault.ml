@@ -406,6 +406,40 @@ let test_reliable_sleep_until () =
       (Printf.sprintf "v%d's inbox" v) raw.(v) rel.(v)
   done
 
+(* --- two messages on one port in one round reach the protocol in the raw
+   simulator's order (newest first), not in the link's sequence order --- *)
+
+let test_reliable_port_order () =
+  let g = Gen.grid ~rng:(rng ()) ~rows:3 ~cols:3 () in
+  let body ((module T) : (module CS.TRANSPORT with type msg = int)) ~me ~deg
+      got =
+    for r = 0 to 4 do
+      for p = 0 to deg - 1 do
+        T.send p ((me * 1000) + (10 * r));
+        T.send p ((me * 1000) + (10 * r) + 1)
+      done;
+      let ib = T.sync () in
+      got.(me) <- got.(me) @ List.init (T.count ib) (fun i -> (T.port ib i, T.msg ib i))
+    done
+  in
+  let raw = Array.make 9 [] and rel = Array.make 9 [] in
+  ignore
+    (S.run ~edge_capacity:2 g ~node:(fun (ctx : S.ctx) ->
+         body (module S.Transport) ~me:ctx.me ~deg:(Array.length ctx.neighbors) raw));
+  let faults =
+    Congest.Fault.make
+      { Congest.Fault.none with seed = 9; drop = 0.1; duplicate = 0.05 }
+  in
+  ignore
+    (R.run ~edge_capacity:2 ~faults g ~node:(fun t (ctx : R.ctx) ->
+         body t ~me:ctx.me ~deg:(Array.length ctx.neighbors) rel));
+  Alcotest.(check int) "the centre heard two per port per round" 40
+    (List.length raw.(4));
+  for v = 0 to 8 do
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "v%d's inbox" v) raw.(v) rel.(v)
+  done
+
 (* --- the flagship property: tree routing over the reliable layer under
    random drops computes the exact scheme of the fault-free run --- *)
 
@@ -499,6 +533,8 @@ let () =
           Alcotest.test_case "virtual round alignment" `Quick test_reliable_round_alignment;
           Alcotest.test_case "multi-round sleep_until = raw Sim" `Quick
             test_reliable_sleep_until;
+          Alcotest.test_case "order within a port = raw Sim" `Quick
+            test_reliable_port_order;
         ] );
       ( "tree-routing",
         [

@@ -517,7 +517,7 @@ let test_cost_distributed () =
   (match p.Routing.Pipeline.scheme with
   | Some s ->
     check_cost "Pipeline.run"
-      (7594, 620, "e9f73971ac92e7cf0b8b59a803a32b6e",
+      (4288, 322, "c0591e87c7222ddd5e1c860255ead648",
        "8022f44ca9e0f80d756c905469baf49e")
       s
   | None -> Alcotest.fail "Pipeline.run spliced no scheme");
@@ -525,7 +525,7 @@ let test_cost_distributed () =
   let r = rng 48 in
   let o = Routing.Dist_scheme.run ~rng:r ~k:4 ~max_rounds:500_000 g in
   check_cost "Dist_scheme.build_scheme"
-    (3606, 120, "8717ade1c5562c6ca165f0da88e21746",
+    (3506, 120, "ceff63d592b05f0f158615439ef7102b",
      "65463f688020d162c4440298de592163")
     (Routing.Dist_scheme.build_scheme ~rng:r g o)
 
