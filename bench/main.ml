@@ -1088,8 +1088,8 @@ let distscheme () =
     "distscheme: the full Appendix B pipeline executed on the simulator -- \
      measured vs charged rounds per phase (exact stage, hopset construction, \
      approximate Bellman-Ford)";
-  Printf.printf "%-8s %5s %2s %4s | %-34s %9s %9s\n" "topology" "n" "k" "B"
-    "phase" "measured" "charged";
+  Printf.printf "%-8s %5s %2s %4s | %-34s %9s %9s | %8s %8s %5s %5s\n" "topology"
+    "n" "k" "B" "phase" "measured" "charged" "data" "control" "steps" "waves";
   line ();
   let module DS = Routing.Dist_scheme in
   let module DH = Routing.Dist_hopset in
@@ -1160,20 +1160,25 @@ let distscheme () =
           else rounds_named name cent_phases)
     in
     let jphases =
-      List.map
-        (fun (name, measured) ->
+      List.map2
+        (fun (name, measured) (_, (t : Routing.Superstep.traffic)) ->
           let ch = charged_for name in
-          Printf.printf "%-8s %5d %2d %4d | %-34s %9d %9s\n" label n k o.DS.b
-            name measured
-            (match ch with Some c -> string_of_int c | None -> "-");
+          Printf.printf "%-8s %5d %2d %4d | %-34s %9d %9s | %8d %8d %5d %5d\n"
+            label n k o.DS.b name measured
+            (match ch with Some c -> string_of_int c | None -> "-")
+            t.data t.control t.supersteps t.waves;
           J.Obj
             [
               ("name", J.Str name);
               ("measured_rounds", J.Int measured);
               ( "charged_rounds",
                 match ch with Some c -> J.Int c | None -> J.Null );
+              ("data_messages", J.Int t.data);
+              ("control_messages", J.Int t.control);
+              ("supersteps", J.Int t.supersteps);
+              ("detection_waves", J.Int t.waves);
             ])
-        p.P.phases
+        p.P.phases p.P.traffic
     in
     let hopset_measured =
       List.fold_left

@@ -473,10 +473,18 @@ let dist_scheme_json ~full ~k g (p : Routing.Pipeline.t) =
         | _ -> Null );
       ( "phases",
         Arr
-          (List.map
-             (fun (name, rounds) ->
-               Obj [ ("name", Str name); ("rounds", Int rounds) ])
-             p.phases) );
+          (List.map2
+             (fun (name, rounds) (_, (t : Routing.Superstep.traffic)) ->
+               Obj
+                 [
+                   ("name", Str name);
+                   ("rounds", Int rounds);
+                   ("data_messages", Int t.data);
+                   ("control_messages", Int t.control);
+                   ("supersteps", Int t.supersteps);
+                   ("detection_waves", Int t.waves);
+                 ])
+             p.phases p.traffic) );
       ("exact_stage_cost", Routing.Cost.to_json ds.exact.phases);
       ("metrics", Congest.Export.metrics p.metrics);
       ( "scheme_cost",
@@ -508,11 +516,15 @@ let pp_dist_scheme ~full (p : Routing.Pipeline.t) =
   | fs ->
     Format.printf "PROTOCOL FAILURES:@.";
     List.iter (fun f -> Format.printf "  %a@." Routing.Dist_scheme.pp_failure f) fs);
-  Format.printf "measured phase spans (|V'| = %d, B = %d):@."
+  Format.printf
+    "measured phase spans (|V'| = %d, B = %d; data and control messages, \
+     supersteps and detection waves):@."
     (List.length ds.members) ds.b;
-  List.iter
-    (fun (name, rounds) -> Format.printf "  %-34s %8d rounds@." name rounds)
-    p.phases;
+  List.iter2
+    (fun (name, rounds) (_, (t : Routing.Superstep.traffic)) ->
+      Format.printf "  %-34s %8d rounds %9d %8d %5d %3d@." name rounds t.data
+        t.control t.supersteps t.waves)
+    p.phases p.traffic;
   Format.printf "rounds: %d@.messages: %d (%d words)@." m.rounds m.messages
     m.message_words;
   pp_fault_counters m;

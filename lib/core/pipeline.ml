@@ -15,6 +15,7 @@ type t = {
   failures : Dist_scheme.failure list;
   metrics : Congest.Metrics.t;
   phases : (string * int) list;
+  traffic : (string * Superstep.traffic) list;
 }
 
 let gate check failures f =
@@ -46,6 +47,7 @@ let run ~rng ~k ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
       failures = ds.Dist_scheme.failures;
       metrics = ds.Dist_scheme.report;
       phases = ds.Dist_scheme.phase_rounds;
+      traffic = ds.Dist_scheme.phase_traffic;
     }
   in
   if (not full) || ds.Dist_scheme.failures <> [] then exact_only
@@ -69,4 +71,5 @@ let run ~rng ~k ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
       failures = o.Dist_hopset.failures;
       metrics = Congest.Metrics.merge ds.Dist_scheme.report o.Dist_hopset.report;
       phases = ds.Dist_scheme.phase_rounds @ o.Dist_hopset.phase_rounds;
+      traffic = ds.Dist_scheme.phase_traffic @ o.Dist_hopset.phase_traffic;
     }

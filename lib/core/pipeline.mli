@@ -46,6 +46,9 @@ type t = {
   phases : (string * int) list;
       (** measured rounds per protocol phase, in time order across both
           stages *)
+  traffic : (string * Superstep.traffic) list;
+      (** each phase's messages, supersteps and detection waves, aligned
+          with [phases] *)
 }
 
 val run :
