@@ -19,6 +19,7 @@ type failure = Dist_scheme.failure =
       continuous : bool;
     }
   | Link_lost of { vertex : int; neighbor : int; reason : string }
+  | Queue_overflow of { vertex : int; port : int; length : int; limit : int }
   | Harvest of { vertex : int; reason : string }
   | Transport of string
 

@@ -24,6 +24,7 @@ type failure = Superstep.failure =
       continuous : bool;
     }
   | Link_lost of { vertex : int; neighbor : int; reason : string }
+  | Queue_overflow of { vertex : int; port : int; length : int; limit : int }
   | Harvest of { vertex : int; reason : string }
   | Transport of string
 
@@ -300,18 +301,21 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?domains g =
               (fun (a, _, _) (b, _, _) -> compare a b)
               cluster_by_owner.(w)
           in
-          let par = Array.make n (-2) and wpar = Array.make n 0.0 in
-          par.(w) <- -1;
-          List.iter
-            (fun (v, _, p) ->
-              if v <> w then
-                match Graph.weight g v p with
-                | Some wt ->
-                  par.(v) <- p;
-                  wpar.(v) <- wt
-                | None -> fail w (Printf.sprintf "cluster parent %d not adjacent to %d" p v))
-            entries;
-          match Tree.of_parents ~root:w ~parent:par ~wparent:wpar with
+          (* the owner roots the tree; every other member hangs off the
+             neighbour it learned the owner from *)
+          let tree_members =
+            List.filter_map
+              (fun (v, _, p) ->
+                if v = w then None
+                else
+                  match Graph.weight g v p with
+                  | Some wt -> Some (v, p, wt)
+                  | None ->
+                    fail w (Printf.sprintf "cluster parent %d not adjacent to %d" p v);
+                    None)
+              entries
+          in
+          match Tree.of_members ~root:w ((w, -1, 0.0) :: tree_members) with
           | tree ->
             clusters :=
               {
@@ -435,12 +439,13 @@ let check_against_centralized ~rng ?(mode = Exact) g (o : outcome) =
           err "cluster order: distributed owner %d, centralized %d"
             dd.(ci).Tz.Cluster.owner w)
       expected;
+    let scratch = Tz.Cluster.scratch n in
     List.iter
       (fun ci ->
         let i, w = expected.(ci) in
         if dd.(ci).Tz.Cluster.owner = w then begin
           let cc =
-            Tz.Cluster.of_owner_bound g ~owner:w ~owner_level:i
+            Tz.Cluster.of_owner_bound ~scratch g ~owner:w ~owner_level:i
               ~bound:(fun v -> cdist.(i + 1).(v))
           in
           let sorted =

@@ -915,7 +915,8 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
     | Congest.Sim.Round_limit -> "round limit exceeded" :: per_vertex
   in
   {
-    scheme = { Tz.Tree_routing.tree; tables; labels };
+    scheme =
+      Tz.Tree_routing.of_members tree ~table:(Array.get tables) ~label:(Array.get labels);
     report = report.Congest.Sim.metrics;
     u_count = !u_count_out;
     d_bfs = !dz_out;

@@ -38,6 +38,7 @@ type t = {
   par : int array array;  (* k rows; support forests (tie-break dependent,
                              excluded from the differential gate) *)
   clusters : Tz.Cluster.t array;
+  scratch : Tz.Cluster.scratch;  (* shared by every cluster regrowth *)
   schemes : Tz.Tree_routing.scheme array;
   tables : (int, Tz.Tree_routing.table) Hashtbl.t array;
       (* v -> the owners w with v ∈ C(w), each with v's table in T(w) *)
@@ -257,13 +258,13 @@ let affected_owners t ~pre ~post ~endpoints ~vals =
 let install t w =
   let j = t.levels.(w) in
   let c =
-    Tz.Cluster.of_owner_bound t.g ~owner:w ~owner_level:j ~bound:(fun v ->
-        t.dist.(j + 1).(v))
+    Tz.Cluster.of_owner_bound ~scratch:t.scratch t.g ~owner:w ~owner_level:j
+      ~bound:(fun v -> t.dist.(j + 1).(v))
   in
   let scheme = Tz.Tree_routing.build c.Tz.Cluster.tree in
   List.iter
     (fun (v, _) ->
-      match scheme.Tz.Tree_routing.tables.(v) with
+      match Tz.Tree_routing.table scheme v with
       | Some tab -> Hashtbl.replace t.tables.(v) w tab
       | None -> ())
     c.Tz.Cluster.dist;
@@ -296,7 +297,7 @@ let recompute_clusters t affected =
 let label_of t y =
   Tz.Graph_routing.label_of ~k:t.k
     ~pivot:(Tz.Hierarchy.strict_pivot ~dist:t.dist ~pivots:t.srcs)
-    ~tree_label:(fun w v -> t.schemes.(w).Tz.Tree_routing.labels.(v))
+    ~tree_label:(fun w v -> Tz.Tree_routing.label t.schemes.(w) v)
     y
 
 (* ------------------------------------------------------------------ *)
@@ -342,8 +343,9 @@ let create_with_levels ?(params = default_params) ~k levels g =
     (fun l ->
       if l < 0 || l >= k then invalid_arg "Dyn_scheme.create_with_levels: level range")
     levels;
+  let scratch = Tz.Cluster.scratch n in
   let dummy =
-    Tz.Cluster.of_owner_bound g ~owner:0 ~owner_level:0 ~bound:(fun v ->
+    Tz.Cluster.of_owner_bound ~scratch g ~owner:0 ~owner_level:0 ~bound:(fun v ->
         if v = 0 then infinity else 0.0)
   in
   let dummy_scheme = Tz.Tree_routing.build dummy.Tz.Cluster.tree in
@@ -359,6 +361,7 @@ let create_with_levels ?(params = default_params) ~k levels g =
       srcs = Array.init k (fun _ -> Array.make n (-1));
       par = Array.init k (fun _ -> Array.make n (-1));
       clusters = Array.make n dummy;
+      scratch;
       schemes = Array.make n dummy_scheme;
       tables = Array.init n (fun _ -> Hashtbl.create 8);
       labels = Array.make n [];
@@ -551,9 +554,10 @@ let check_against_shadow t =
     done
   done;
   let shadow_clusters =
+    let scratch = Tz.Cluster.scratch n in
     Array.init n (fun w ->
         let j = t.levels.(w) in
-        Tz.Cluster.of_owner_bound g ~owner:w ~owner_level:j ~bound:(fun v ->
+        Tz.Cluster.of_owner_bound ~scratch g ~owner:w ~owner_level:j ~bound:(fun v ->
             sd.(j + 1).(v)))
   in
   Array.iteri

@@ -32,21 +32,20 @@ let run ~rng ?q g ~tree =
   List.iter (fun v -> ignore (find_root v)) (Tree.vertices tree);
   let roots = List.filter is_local_root (Tree.vertices tree) in
   let u_count = List.length roots in
-  (* local trees *)
-  let local_tree_of w =
-    let parent = Array.make n (-2) and wparent = Array.make n 0.0 in
-    List.iter
-      (fun v ->
-        if local_root.(v) = w then
-          if v = w then parent.(v) <- -1
-          else begin
-            parent.(v) <- Tree.parent tree v;
-            wparent.(v) <- Tree.weight_to_parent tree v
-          end)
-      (Tree.vertices tree);
-    Tree.of_parents ~root:w ~parent ~wparent
+  (* local trees, each from its own members *)
+  let local_members = Hashtbl.create 16 in
+  List.iter
+    (fun v ->
+      let w = local_root.(v) in
+      let m =
+        if v = w then (v, -1, 0.0) else (v, Tree.parent tree v, Tree.weight_to_parent tree v)
+      in
+      Hashtbl.replace local_members w
+        (m :: Option.value ~default:[] (Hashtbl.find_opt local_members w)))
+    (Tree.vertices tree);
+  let locals =
+    List.map (fun w -> (w, Tree.of_members ~root:w (Hashtbl.find local_members w))) roots
   in
-  let locals = List.map (fun w -> (w, local_tree_of w)) roots in
   let local_height =
     List.fold_left (fun acc (_, t) -> max acc (Tree.height t)) 0 locals
   in
@@ -55,22 +54,16 @@ let run ~rng ?q g ~tree =
   List.iter (fun (w, s) -> Hashtbl.replace local_scheme_of w s) local_schemes;
   (* virtual tree T' over the local roots *)
   let vtree =
-    let parent = Array.make n (-2) and wparent = Array.make n 0.0 in
-    List.iter
-      (fun w ->
-        if w = root then parent.(w) <- -1
-        else begin
-          parent.(w) <- local_root.(Tree.parent tree w);
-          wparent.(w) <- 1.0
-        end)
-      roots;
-    Tree.of_parents ~root ~parent ~wparent
+    Tree.of_members ~root
+      (List.map
+         (fun w -> if w = root then (w, -1, 0.0) else (w, local_root.(Tree.parent tree w), 1.0))
+         roots)
   in
   let vscheme = Tz.Tree_routing.build vtree in
   let local_label_words w v =
     match (Hashtbl.find_opt local_scheme_of w : Tz.Tree_routing.scheme option) with
     | Some s -> (
-      match s.Tz.Tree_routing.labels.(v) with
+      match Tz.Tree_routing.label s v with
       | Some l -> Tz.Tree_routing.label_words l
       | None -> 0)
     | None -> 0
@@ -80,7 +73,7 @@ let run ~rng ?q g ~tree =
   let label_words y =
     let x = local_root.(y) in
     let vlights =
-      match vscheme.Tz.Tree_routing.labels.(x) with
+      match Tz.Tree_routing.label vscheme x with
       | Some l -> l.Tz.Tree_routing.lights
       | None -> []
     in

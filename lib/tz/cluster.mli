@@ -14,16 +14,31 @@ type t = {
   dist : (int * float) list;  (** members with their distance to [owner] *)
 }
 
-val of_owner : Dgraph.Graph.t -> Hierarchy.t -> int -> t
+type scratch
+(** Search state of {!of_owner_bound} over the host's vertex ids, reused
+    across calls: each search resets only the entries the previous one
+    touched, so growing a cluster costs O(|C| + its boundary), not O(n). A
+    scratch serves one search at a time. *)
+
+val scratch : int -> scratch
+(** [scratch n]: fresh state for graphs on [n] vertices. *)
+
+val of_owner : scratch:scratch -> Dgraph.Graph.t -> Hierarchy.t -> int -> t
 (** Grow the cluster of one vertex by truncated Dijkstra. *)
 
 val of_owner_bound :
-  Dgraph.Graph.t -> owner:int -> owner_level:int -> bound:(int -> float) -> t
+  scratch:scratch ->
+  Dgraph.Graph.t ->
+  owner:int ->
+  owner_level:int ->
+  bound:(int -> float) ->
+  t
 (** Same truncated Dijkstra with an explicit truncation radius: a settled
     vertex [v] with distance [d] joins the cluster iff [d < bound v]. This is
     {!of_owner} with [bound v = d(v, A_{owner_level+1})]; callers that already
     hold the level distances (e.g. the distributed exact stage) pass them in
-    directly instead of rebuilding a hierarchy. *)
+    directly instead of rebuilding a hierarchy.
+    @raise Invalid_argument if [scratch] is sized for another graph *)
 
 val all : Dgraph.Graph.t -> Hierarchy.t -> t array
 (** [all g h] has one entry per vertex, indexed by owner id. *)

@@ -31,14 +31,12 @@ let of_trees ~k ~n ~pivot trees =
       schemes.(w) <- Some scheme;
       List.iter
         (fun v ->
-          match scheme.Tree_routing.tables.(v) with
+          match Tree_routing.table scheme v with
           | Some tab -> Hashtbl.replace tables.(v) w tab
           | None -> assert false)
         (Tree.vertices tree))
     trees;
-  let tree_label w y =
-    Option.bind schemes.(w) (fun s -> s.Tree_routing.labels.(y))
-  in
+  let tree_label w y = Option.bind schemes.(w) (fun s -> Tree_routing.label s y) in
   { k; tables; labels = Array.init n (label_of ~k ~pivot ~tree_label) }
 
 let of_parts ~k g hierarchy clusters =

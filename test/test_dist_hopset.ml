@@ -187,7 +187,8 @@ let test_crash_typed_failure () =
           | Routing.Dist_hopset.Stalled _ | Routing.Dist_hopset.Link_lost _
           | Routing.Dist_hopset.Setup_timeout _ ->
             true
-          | Routing.Dist_hopset.Harvest _ | Routing.Dist_hopset.Transport _ ->
+          | Routing.Dist_hopset.Queue_overflow _ | Routing.Dist_hopset.Harvest _
+          | Routing.Dist_hopset.Transport _ ->
             false)
         fs
     in

@@ -264,7 +264,8 @@ let test_watchdog_crash () =
           | Routing.Dist_scheme.Stalled _ | Routing.Dist_scheme.Link_lost _
           | Routing.Dist_scheme.Setup_timeout _ ->
             true
-          | Routing.Dist_scheme.Harvest _ | Routing.Dist_scheme.Transport _ ->
+          | Routing.Dist_scheme.Queue_overflow _ | Routing.Dist_scheme.Harvest _
+          | Routing.Dist_scheme.Transport _ ->
             false)
         fs
     in
@@ -511,7 +512,7 @@ let test_setup_timeout () =
    segment's receipts total the initial budget exactly. Each vertex
    harvests, when the phase closes, the receipts it handled and whether
    the last of them was a token of key 1, which lands there. *)
-let token_relay ?(split = false) ~n ~budget ~port0 () =
+let relay_run ?(split = false) ?(burst = 1) ~n ~budget ~port0 () =
   let g = Gen.ring ~rng:(Random.State.make [| n |]) ~n () in
   let hops = Array.make n 0 and landed = Array.make n false in
   let plan =
@@ -542,7 +543,12 @@ let token_relay ?(split = false) ~n ~budget ~port0 () =
     in
     {
       Routing.Superstep.seed = ignore;
-      seg_start = (fun () -> if me = 0 then pass port0 budget);
+      seg_start =
+        (fun () ->
+          if me = 0 then
+            for _ = 1 to burst do
+              pass port0 budget
+            done);
       snapshot = ignore;
       on_data;
       finalize_seg = ignore;
@@ -553,7 +559,10 @@ let token_relay ?(split = false) ~n ~budget ~port0 () =
       words = (fun () -> 1);
     }
   in
-  let r = Routing.Superstep.run ~plan ~vertex ~max_rounds:100_000 g in
+  (Routing.Superstep.run ~plan ~vertex ~max_rounds:100_000 g, hops, landed)
+
+let token_relay ?split ~n ~budget ~port0 () =
+  let r, hops, landed = relay_run ?split ~n ~budget ~port0 () in
   if r.Routing.Superstep.failures <> [] then
     Alcotest.failf "ring n=%d: %s" n
       (String.concat " | "
@@ -614,6 +623,24 @@ let test_continuous_token () =
         [ 7; 20; 33; 64; 100; 257 ])
     [ 5; 8; 11; 16; 23; 32 ]
 
+(* Vertex 0 queues 1 500 one-hop tokens on one port of a 12-vertex ring
+   when the segment opens. Its neighbour hears two a round; every other
+   vertex hears nothing until that queue has drained and the root's
+   Advance comes back, far longer than the watchdog interval of
+   4n + 64 = 112 rounds, so without a bound on the queue every vertex
+   would report Stalled while data still flows. The queue passes the
+   longest one the interval covers, 2 (interval - 2n), and enqueue stops
+   vertex 0 with a typed failure naming the port and the length. *)
+let test_queue_overflow () =
+  let r, _, _ = relay_run ~n:12 ~budget:1 ~burst:1500 ~port0:0 () in
+  match r.Routing.Superstep.failures with
+  | Routing.Superstep.Queue_overflow { vertex = 0; port = 0; length; limit } :: _ ->
+    Alcotest.(check int) "limit" (2 * ((4 * 12) + 64 - (2 * 12))) limit;
+    Alcotest.(check int) "length" (limit + 1) length
+  | fs ->
+    Alcotest.failf "expected a queue overflow at v0 port 0, got: %s"
+      (String.concat " | " (List.map Routing.Superstep.failure_to_string fs))
+
 (* A failed exact stage is never spliced: cut at 150 rounds, the run
    harvests no cluster, and build_scheme must not route on what is left. *)
 let test_build_scheme_rejects_failed_stage () =
@@ -626,6 +653,50 @@ let test_build_scheme_rejects_failed_stage () =
   Alcotest.check_raises "build_scheme"
     (Invalid_argument "Dist_scheme.build_scheme: exact stage failed: round limit exceeded")
     (fun () -> ignore (Routing.Dist_scheme.build_scheme ~rng:r g o))
+
+(* ---------- memory: cluster trees and router linear in their members ---------- *)
+
+(* A tree and a router hold O(1) words per member, whatever n is: the
+   clusters the exact stage harvests and the router Scheme.build assembles
+   on the same graph stay within a bound linear in Σ|C| + n, where Σ|C|
+   counts cluster memberships. The constants are the measured words per
+   member (17.9 and 13.4) with 2x slack; a tree sized by n (about 7n words
+   each, so quadratic over the n clusters) is far past them. *)
+let test_memory_linear () =
+  let k = 4 and b = 24 in
+  let g =
+    Gen.connected_erdos_renyi ~rng:(rng 50)
+      ~weights:(Gen.uniform_weights 1.0 4.0) ~n:1_500 ~avg_deg:4.0 ()
+  in
+  let n = Graph.n g in
+  let o = Routing.Dist_scheme.run ~rng:(rng 51) ~k ~b ~max_rounds:500_000 g in
+  if o.Routing.Dist_scheme.failures <> [] then
+    Alcotest.failf "protocol failures: %s"
+      (String.concat " | "
+         (List.map Routing.Dist_scheme.failure_to_string
+            o.Routing.Dist_scheme.failures));
+  let clusters = o.Routing.Dist_scheme.exact.Routing.Scheme.Exact_stage.clusters in
+  let members =
+    List.fold_left (fun acc c -> acc + List.length c.Tz.Cluster.dist) 0 clusters
+  in
+  let words = Obj.reachable_words (Obj.repr clusters) in
+  if words > 36 * (members + n) then
+    Alcotest.failf "clusters: %d words for %d members on %d vertices (bound 36 per)"
+      words members n;
+  let scheme =
+    Routing.Scheme.build ~rng:(rng 51) ~k
+      ~params:{ Routing.Scheme.Params.default with b = Some b }
+      g
+  in
+  let router = Routing.Scheme.router scheme in
+  let memberships = ref 0 in
+  for v = 0 to n - 1 do
+    memberships := Tz.Graph_routing.fold_tables router v (fun _ _ c -> c + 1) !memberships
+  done;
+  let rwords = Obj.reachable_words (Obj.repr router) in
+  if rwords > 27 * (!memberships + n) then
+    Alcotest.failf "router: %d words for %d memberships on %d vertices (bound 27 per)"
+      rwords !memberships n
 
 let () =
   Alcotest.run "dist_scheme"
@@ -662,6 +733,8 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false prop_codec_roundtrip;
           Alcotest.test_case "continuous segment: token relay" `Quick
             test_continuous_token;
+          Alcotest.test_case "token relay: queue past the watchdog's cover" `Quick
+            test_queue_overflow;
         ] );
       ( "bounded BF",
         [
@@ -676,5 +749,10 @@ let () =
             test_build_scheme_matches_centralized;
           Alcotest.test_case "build_scheme rejects a failed stage" `Quick
             test_build_scheme_rejects_failed_stage;
+        ] );
+      ( "memory",
+        [
+          Alcotest.test_case "cluster trees and router linear in members" `Quick
+            test_memory_linear;
         ] );
     ]

@@ -225,21 +225,20 @@ let test_tree_dfs_intervals () =
   for _ = 1 to 10 do
     let g = Gen.random_tree ~rng:r ~n:60 () in
     let t = Tree.of_tree_graph g ~root:0 in
-    let iv = Tree.dfs_intervals t in
+    let iv = Tree.interval t in
     let seen = Array.make 60 false in
-    Array.iteri
-      (fun v (a, b) ->
-        if Tree.mem t v then begin
-          Alcotest.(check bool) "entry range" true (a >= 0 && a < 60);
-          Alcotest.(check bool) "width = subtree" true (b - a + 1 = Tree.subtree_size t v);
-          Alcotest.(check bool) "fresh" false seen.(a);
-          seen.(a) <- true
-        end)
-      iv;
+    List.iter
+      (fun v ->
+        let a, b = iv v in
+        Alcotest.(check bool) "entry range" true (a >= 0 && a < 60);
+        Alcotest.(check bool) "width = subtree" true (b - a + 1 = Tree.subtree_size t v);
+        Alcotest.(check bool) "fresh" false seen.(a);
+        seen.(a) <- true)
+      (Tree.vertices t);
     List.iter
       (fun v ->
         if v <> 0 then begin
-          let pa, pb = iv.(Tree.parent t v) and a, b = iv.(v) in
+          let pa, pb = iv (Tree.parent t v) and a, b = iv v in
           Alcotest.(check bool) "nested" true (pa < a && b <= pb)
         end)
       (Tree.vertices t)
@@ -393,6 +392,51 @@ let test_tree_length_mismatch () =
     (Invalid_argument "Tree.of_parents: array length mismatch") (fun () ->
       ignore (Tree.of_parents ~root:0 ~parent:[| -1; 0 |] ~wparent:[| 0.0 |]))
 
+(* A tree built from a member list, in shuffled order and with sparse ids
+   (so lookups take the binary search), answers every accessor like the
+   tree of_parents builds from the same relation with dense ids. *)
+let test_tree_of_members () =
+  let r = rng () in
+  let id v = (3 * v) + 7 in
+  for _ = 1 to 10 do
+    let g = Gen.random_tree ~rng:r ~n:80 () in
+    let t = Tree.of_tree_graph g ~root:0 in
+    let members =
+      List.map
+        (fun v ->
+          if v = 0 then (id v, -1, 0.0)
+          else (id v, id (Tree.parent t v), Tree.weight_to_parent t v))
+        (Tree.vertices t)
+    in
+    let shuffled =
+      List.map snd
+        (List.sort compare (List.map (fun m -> (Random.State.bits r, m)) members))
+    in
+    let s = Tree.of_members ~root:(id 0) shuffled in
+    Alcotest.(check int) "size" (Tree.size t) (Tree.size s);
+    Alcotest.(check int) "height" (Tree.height t) (Tree.height s);
+    Alcotest.(check (list int)) "vertices" (List.map id (Tree.vertices t)) (Tree.vertices s);
+    List.iter
+      (fun v ->
+        Alcotest.(check int) "index" v (Tree.index s (id v));
+        Alcotest.(check (list int)) "children"
+          (List.map id (Array.to_list (Tree.children t v)))
+          (Array.to_list (Tree.children s (id v)));
+        Alcotest.(check int) "depth" (Tree.depth t v) (Tree.depth s (id v));
+        Alcotest.(check int) "subtree" (Tree.subtree_size t v) (Tree.subtree_size s (id v));
+        Alcotest.(check (option int)) "heavy"
+          (Option.map id (Tree.heavy_child t v))
+          (Tree.heavy_child s (id v));
+        Alcotest.(check (pair int int)) "interval" (Tree.interval t v) (Tree.interval s (id v));
+        Alcotest.(check (float 0.0)) "dist to root" (Tree.dist_weight t v 0)
+          (Tree.dist_weight s (id v) (id 0)))
+      (Tree.vertices t);
+    Alcotest.(check bool) "gaps are not members" false (Tree.mem s (id 5 + 1))
+  done;
+  Alcotest.check_raises "repeated vertex"
+    (Invalid_argument "Tree.of_members: vertex 1 negative or repeated") (fun () ->
+      ignore (Tree.of_members ~root:0 [ (0, -1, 0.0); (1, 0, 1.0); (1, 0, 1.0) ]))
+
 (* ---------- Property-based ---------- *)
 
 let arb_connected_graph =
@@ -530,6 +574,7 @@ let () =
           Alcotest.test_case "bfs spanning depth" `Quick test_bfs_spanning_depth;
           Alcotest.test_case "shortest path tree" `Quick test_shortest_path_tree;
           Alcotest.test_case "of_parents length mismatch" `Quick test_tree_length_mismatch;
+          Alcotest.test_case "of_members = of_parents" `Quick test_tree_of_members;
         ] );
       ( "arboricity",
         [
