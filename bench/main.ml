@@ -23,6 +23,15 @@ let rng seed = Random.State.make [| seed; 20260704 |]
 
 let line () = print_endline (String.make 100 '-')
 
+(* the longest label a tree routing scheme gives any member of [tree] *)
+let max_label_words tree scheme =
+  List.fold_left
+    (fun acc v ->
+      match Tz.Tree_routing.label scheme v with
+      | Some l -> max acc (Tz.Tree_routing.label_words l)
+      | None -> acc)
+    0 (Tree.vertices tree)
+
 let header title =
   print_newline ();
   line ();
@@ -48,13 +57,7 @@ let table2 () =
     (* ours: message-level on the simulator *)
     let ours = Routing.Dist_tree_routing.run ~rng:(rng (1000 + n)) g ~tree in
     assert (ours.Routing.Dist_tree_routing.failures = []);
-    let max_label =
-      Array.fold_left
-        (fun acc -> function
-          | Some l -> max acc (Tz.Tree_routing.label_words l)
-          | None -> acc)
-        0 ours.Routing.Dist_tree_routing.scheme.Tz.Tree_routing.labels
-    in
+    let max_label = max_label_words tree ours.Routing.Dist_tree_routing.scheme in
     (* verify exactness on a sample *)
     let vs = Array.of_list (Tree.vertices tree) in
     let r = rng (2000 + n) in
@@ -93,13 +96,7 @@ let table2 () =
       en16.Routing.Tree_routing_en16.peak_memory "exact";
     (* TZ01b centralized reference *)
     let tz = Tz.Tree_routing.build tree in
-    let tz_label =
-      Array.fold_left
-        (fun acc -> function
-          | Some l -> max acc (Tz.Tree_routing.label_words l)
-          | None -> acc)
-        0 tz.Tz.Tree_routing.labels
-    in
+    let tz_label = max_label_words tree tz in
     Printf.printf "%-28s %6d %6d | %9s %9d %9d %9s %8s\n" "TZ01b (centralized)" n d "n/a" 4
       tz_label "n/a" "exact";
     line ()
@@ -889,8 +886,7 @@ let perf () =
     let jb = J.to_string (Congest.Export.metrics b.DTR.report) in
     if
       ja <> jb
-      || a.DTR.scheme.Tz.Tree_routing.tables <> b.DTR.scheme.Tz.Tree_routing.tables
-      || a.DTR.scheme.Tz.Tree_routing.labels <> b.DTR.scheme.Tz.Tree_routing.labels
+      || not (Tz.Tree_routing.equal a.DTR.scheme b.DTR.scheme)
       || a.DTR.failures <> b.DTR.failures
     then begin
       Printf.eprintf "perf: scheduler outputs diverge (%s, n=%d)\n" label n;

@@ -60,12 +60,12 @@ let test_en16_labels_are_log2 () =
   let g, tree, en16 = baseline ~n:400 ~seed:7 () in
   let ours = Routing.Dist_tree_routing.run ~rng:(rng 9) g ~tree in
   let our_max_label =
-    Array.fold_left
-      (fun acc l ->
-        match l with
+    List.fold_left
+      (fun acc v ->
+        match Tz.Tree_routing.label ours.Routing.Dist_tree_routing.scheme v with
         | Some l -> max acc (Tz.Tree_routing.label_words l)
         | None -> acc)
-      0 ours.Routing.Dist_tree_routing.scheme.Tz.Tree_routing.labels
+      0 (Tree.vertices tree)
   in
   Alcotest.(check bool)
     (Printf.sprintf "en16 label %d > ours %d" en16.Routing.Tree_routing_en16.max_label_words

@@ -126,8 +126,7 @@ let tree_routing_equal (a : Routing.Dist_tree_routing.outcome)
   let open Routing.Dist_tree_routing in
   Export.Json.to_string (Export.metrics a.report)
   = Export.Json.to_string (Export.metrics b.report)
-  && a.scheme.Tz.Tree_routing.tables = b.scheme.Tz.Tree_routing.tables
-  && a.scheme.Tz.Tree_routing.labels = b.scheme.Tz.Tree_routing.labels
+  && Tz.Tree_routing.equal a.scheme b.scheme
   && a.failures = b.failures
   && a.u_count = b.u_count
 

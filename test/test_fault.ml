@@ -443,8 +443,6 @@ let test_reliable_port_order () =
 (* --- the flagship property: tree routing over the reliable layer under
    random drops computes the exact scheme of the fault-free run --- *)
 
-let scheme_tables (s : Tz.Tree_routing.scheme) = (s.tables, s.labels)
-
 let tree_routing_run ?faults ?reliable ?config seed g tree =
   Routing.Dist_tree_routing.run
     ~rng:(Random.State.make [| seed |])
@@ -461,7 +459,7 @@ let test_tree_routing_masked_drops () =
   let noisy = tree_routing_run ~faults 123 g tree in
   Alcotest.(check (list string)) "noisy run has no failures" [] noisy.failures;
   Alcotest.(check bool) "scheme bit-identical under drops" true
-    (scheme_tables clean.scheme = scheme_tables noisy.scheme);
+    (Tz.Tree_routing.equal clean.scheme noisy.scheme);
   Alcotest.(check bool) "the network really was noisy" true
     (noisy.report.Congest.Metrics.dropped > 0);
   Alcotest.(check bool) "repairs happened" true

@@ -276,14 +276,16 @@ let test_tree_table_label_sizes () =
   let tree = Tree.of_tree_graph g ~root:0 in
   let scheme = Tz.Tree_routing.build tree in
   let log2n = int_of_float (ceil (log 1000.0 /. log 2.0)) in
-  Array.iter
-    (function
+  List.iter
+    (fun v ->
+      match Tz.Tree_routing.table scheme v with
       | None -> ()
       | Some tab ->
         Alcotest.(check int) "table words" 4 (Tz.Tree_routing.table_words tab))
-    scheme.Tz.Tree_routing.tables;
-  Array.iter
-    (function
+    (Tree.vertices tree);
+  List.iter
+    (fun v ->
+      match Tz.Tree_routing.label scheme v with
       | None -> ()
       | Some lab ->
         let w = Tz.Tree_routing.label_words lab in
@@ -291,7 +293,7 @@ let test_tree_table_label_sizes () =
           (Printf.sprintf "label %d <= 2 + 2 log n" w)
           true
           (w <= 2 + (2 * log2n)))
-    scheme.Tz.Tree_routing.labels
+    (Tree.vertices tree)
 
 let test_tree_routing_on_subset_tree () =
   (* a cluster tree lives on a subset of the host graph's ids *)
