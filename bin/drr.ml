@@ -173,6 +173,16 @@ let pp_fault_counters (m : Congest.Metrics.t) =
     Format.printf "faults: dropped %d, duplicated %d, delayed %d; retransmitted %d@."
       m.dropped m.duplicated m.delayed m.retransmitted
 
+let pp_failures = function
+  | [] -> ()
+  | fs ->
+    Format.printf "PROTOCOL FAILURES:@.";
+    List.iter (fun f -> Format.printf "  %a@." Routing.Protocol.pp_failure f) fs
+
+let failures_json fs =
+  let open Congest.Export.Json in
+  Arr (List.map (fun f -> Str (Routing.Protocol.failure_to_string f)) fs)
+
 (* ---- info ---- *)
 
 let info_cmd =
@@ -309,22 +319,14 @@ let tree_cmd =
                 ("metrics", Congest.Export.metrics m);
                 ("u_count", Int out.Routing.Dist_tree_routing.u_count);
                 ("d_bfs", Int out.Routing.Dist_tree_routing.d_bfs);
-                ( "failures",
-                  Arr
-                    (List.map
-                       (fun s -> Str s)
-                       out.Routing.Dist_tree_routing.failures) );
+                ("failures", failures_json out.Routing.Dist_tree_routing.failures);
                 ( "trace",
                   match trace with
                   | None -> Null
                   | Some tr -> Congest.Export.trace tr );
               ]))
     else begin
-      (match out.Routing.Dist_tree_routing.failures with
-      | [] -> ()
-      | fs ->
-        Format.printf "PROTOCOL FAILURES:@.";
-        List.iter (fun f -> Format.printf "  %s@." f) fs);
+      pp_failures out.Routing.Dist_tree_routing.failures;
       Format.printf "rounds: %d@.messages: %d (%d words)@." m.Congest.Metrics.rounds
         m.Congest.Metrics.messages m.Congest.Metrics.message_words;
       pp_fault_counters m;
@@ -402,19 +404,11 @@ let trace_cmd =
                          Obj [ ("name", Str name); ("rounds", Int rounds) ])
                        (Congest.Trace.phase_breakdown tr ~total_rounds:total)) );
                 ("metrics", Congest.Export.metrics m);
-                ( "failures",
-                  Arr
-                    (List.map
-                       (fun s -> Str s)
-                       out.Routing.Dist_tree_routing.failures) );
+                ("failures", failures_json out.Routing.Dist_tree_routing.failures);
                 ("trace", Congest.Export.trace tr);
               ]))
     else begin
-      (match out.Routing.Dist_tree_routing.failures with
-      | [] -> ()
-      | fs ->
-        Format.printf "PROTOCOL FAILURES:@.";
-        List.iter (fun f -> Format.printf "  %s@." f) fs);
+      pp_failures out.Routing.Dist_tree_routing.failures;
       Format.printf "tree-routing protocol on %a: %d rounds@.@." Graph.pp g total;
       Format.printf "per-phase breakdown (root's phase spans):@.";
       List.iter
@@ -502,20 +496,12 @@ let dist_scheme_json ~full ~k g (p : Routing.Pipeline.t) =
                (divergences p.exact_gate @ divergences p.upper_gate))
         else Null );
       ("gates", Obj [ ("exact", verdict p.exact_gate); ("upper", verdict p.upper_gate) ]);
-      ( "failures",
-        Arr
-          (List.map
-             (fun f -> Str (Routing.Dist_scheme.failure_to_string f))
-             p.failures) );
+      ("failures", failures_json p.failures);
     ]
 
 let pp_dist_scheme ~full (p : Routing.Pipeline.t) =
   let ds = p.exact and m = p.metrics in
-  (match p.failures with
-  | [] -> ()
-  | fs ->
-    Format.printf "PROTOCOL FAILURES:@.";
-    List.iter (fun f -> Format.printf "  %a@." Routing.Dist_scheme.pp_failure f) fs);
+  pp_failures p.failures;
   Format.printf
     "measured phase spans (|V'| = %d, B = %d; data and control messages, \
      supersteps and detection waves):@."

@@ -19,7 +19,8 @@ let () =
           let out = Routing.Dist_tree_routing.run ~rng g ~tree in
           if out.Routing.Dist_tree_routing.failures <> [] then
             Format.printf "%-8d %-10s PROTOCOL FAILURE: %s@." n name
-              (List.hd out.Routing.Dist_tree_routing.failures)
+              (Routing.Protocol.failure_to_string
+                 (List.hd out.Routing.Dist_tree_routing.failures))
           else begin
             let en16 = Routing.Tree_routing_en16.run ~rng g ~tree in
             Format.printf "%-8d %-10s %10d %10d %12d | %14d %12d@." n name

@@ -8,23 +8,7 @@ open Hopsets
    [Superstep] runs. The protocol and its exactness argument are in
    dist_hopset.mli and DESIGN.md §15. *)
 
-(* shared fault-flag table with the exact-stage protocol *)
-type failure = Dist_scheme.failure =
-  | Setup_timeout of { vertex : int; round : int }
-  | Stalled of {
-      vertex : int;
-      round : int;
-      phase : string;
-      superstep : int;
-      continuous : bool;
-    }
-  | Link_lost of { vertex : int; neighbor : int; reason : string }
-  | Queue_overflow of { vertex : int; port : int; length : int; limit : int }
-  | Harvest of { vertex : int; reason : string }
-  | Transport of string
-
-let failure_to_string = Dist_scheme.failure_to_string
-let pp_failure = Dist_scheme.pp_failure
+let failure_to_string = Protocol.failure_to_string
 
 type outcome = {
   upper : Scheme.Upper_stage.t option;
@@ -39,7 +23,7 @@ type outcome = {
   report : Congest.Metrics.t;
   phase_rounds : (string * int) list;
   phase_traffic : (string * Superstep.traffic) list;
-  failures : failure list;
+  failures : Protocol.failure list;
 }
 
 (* One wave entry of run B's keyed table: current best value, the port it
@@ -139,7 +123,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
   let hlv = Array.make n (-1) in
   Array.iteri (fun j v -> hlv.(v) <- hlevels.(j)) mv;
   (* every failure of both runs and their harvests, newest first *)
-  let post : failure list ref = ref [] in
+  let post : Protocol.failure list ref = ref [] in
   let gathered_failures () = List.rev !post in
   let all_phases : Cost.phase list ref = ref [] in
   let all_traffic = ref [] in
@@ -203,7 +187,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
                  match Virtual_graph.to_virtual vg w with
                  | Some jw -> rows.(jw).(v) <- d
                  | None ->
-                   post := Harvest { vertex = v; reason = Printf.sprintf "bunch owner %d not virtual" w } :: !post)
+                   post := Protocol.Harvest { vertex = v; reason = Printf.sprintf "bunch owner %d not virtual" w } :: !post)
                entries)
            bunch_local;
          rows);
@@ -277,7 +261,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
           | Some p -> Superstep.enqueue ctx p m
           | None ->
             Superstep.fail ctx
-              (Harvest { vertex = me; reason = Printf.sprintf "relay next hop %d not adjacent" nxt }))
+              (Protocol.Harvest { vertex = me; reason = Printf.sprintf "relay next hop %d not adjacent" nxt }))
         | None -> ()
       in
       let has_succ ei dir = Hashtbl.mem succ ((2 * ei) + dir) in
@@ -385,7 +369,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
                 | Some p -> e.port <- p
                 | None ->
                   Superstep.fail ctx
-                    (Harvest { vertex = me; reason = Printf.sprintf "recovery parent %d not adjacent" prev }));
+                    (Protocol.Harvest { vertex = me; reason = Printf.sprintf "recovery parent %d not adjacent" prev }));
                 e.via_edge <- -1;
                 e.joined <- true;
                 e.dirty <- true
@@ -535,7 +519,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
       match Construct.assemble vg fields with
       | hs -> Some hs
       | exception Invalid_argument msg ->
-        post := Harvest { vertex = -1; reason = "assemble rejected fields: " ^ msg } :: !post;
+        post := Protocol.Harvest { vertex = -1; reason = "assemble rejected fields: " ^ msg } :: !post;
         None
     in
     match hopset with
@@ -593,7 +577,7 @@ let run ~rng ?(params = Scheme.Params.default) ?faults ?reliable ?max_rounds
                   cparent.(v) <- par;
                   cjoined.(v) <- joined
                 | None ->
-                  post := Harvest { vertex = v; reason = Printf.sprintf "cluster deposit for non-owner %d" w } :: !post)
+                  post := Protocol.Harvest { vertex = v; reason = Printf.sprintf "cluster deposit for non-owner %d" w } :: !post)
               entries)
           cl_local;
         let cluster_waves = ref [] in

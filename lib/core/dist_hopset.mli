@@ -5,7 +5,8 @@
     rounds through {!Cost}. This module executes that stage
     message-by-message on the simulator — over either raw {!Congest.Sim} or
     {!Congest.Reliable}, the protocol body written once against
-    {!Congest.Sim.TRANSPORT} — and returns the same {!Scheme.Upper_stage.t}
+    {!Congest.Sim.TRANSPORT}, reporting typed {!Protocol.failure}s like the
+    exact stage — and returns the same {!Scheme.Upper_stage.t}
     record, whose [phases] carry the {e measured} rounds and per-vertex
     memory. Stacked on [Dist_scheme] (the exact stage) and spliced through
     {!Scheme.build_from_exact}, the entire Appendix B construction runs as
@@ -55,23 +56,9 @@
     cluster wave (candidate distances, parents, recovery joins, tree)
     bit-identical to the centralized computation. *)
 
-(** The engine's typed failures, shared with {!Dist_scheme.failure}. *)
-type failure = Dist_scheme.failure =
-  | Setup_timeout of { vertex : int; round : int }
-  | Stalled of {
-      vertex : int;
-      round : int;
-      phase : string;
-      superstep : int;
-      continuous : bool;
-    }
-  | Link_lost of { vertex : int; neighbor : int; reason : string }
-  | Queue_overflow of { vertex : int; port : int; length : int; limit : int }
-  | Harvest of { vertex : int; reason : string }
-  | Transport of string
-
-val failure_to_string : failure -> string
-val pp_failure : Format.formatter -> failure -> unit
+val failure_to_string : Protocol.failure -> string
+(** {!Protocol.failure_to_string}: the stage reports the engine's typed
+    failures. *)
 
 type outcome = {
   upper : Scheme.Upper_stage.t option;
@@ -95,7 +82,7 @@ type outcome = {
   phase_traffic : (string * Superstep.traffic) list;
       (** per phase, aligned with [phase_rounds]: data and control messages,
           supersteps and detection waves *)
-  failures : failure list;  (** empty iff both runs completed cleanly *)
+  failures : Protocol.failure list;  (** empty iff both runs completed cleanly *)
 }
 
 val run :

@@ -14,22 +14,7 @@ open Dgraph
    The same waves build the hopset hierarchy's fields in [Dist_hopset]'s
    run A. *)
 
-type failure = Superstep.failure =
-  | Setup_timeout of { vertex : int; round : int }
-  | Stalled of {
-      vertex : int;
-      round : int;
-      phase : string;
-      superstep : int;
-      continuous : bool;
-    }
-  | Link_lost of { vertex : int; neighbor : int; reason : string }
-  | Queue_overflow of { vertex : int; port : int; length : int; limit : int }
-  | Harvest of { vertex : int; reason : string }
-  | Transport of string
-
-let failure_to_string = Superstep.failure_to_string
-let pp_failure = Superstep.pp_failure
+let failure_to_string = Protocol.failure_to_string
 
 type wave = Setup | Pivot of int | Cluster of int | Virtual
 
@@ -213,7 +198,7 @@ type outcome = {
   report : Congest.Metrics.t;
   phase_rounds : (string * int) list;
   phase_traffic : (string * Superstep.traffic) list;
-  failures : failure list;
+  failures : Protocol.failure list;
 }
 
 let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?domains g =
@@ -281,7 +266,7 @@ let run ~rng ~k ?b ?faults ?reliable ?config ?trace ?max_rounds ?domains g =
       ~deposit ?faults ?reliable ?config ?trace ?max_rounds ?domains g
   in
   let post = ref [] in
-  let fail v s = post := Harvest { vertex = v; reason = s } :: !post in
+  let fail v s = post := Protocol.Harvest { vertex = v; reason = s } :: !post in
   (* ---- harvest: per-vertex state -> the Exact_stage interchange record ---- *)
   (* regroup the members' cluster deposits by owner *)
   let cluster_by_owner : (int * float * int) list array = Array.make n [] in

@@ -6,7 +6,8 @@
     {!Cost}. This module executes that same stage message-by-message on the
     simulator — over either the raw {!Congest.Sim} transport or
     {!Congest.Reliable} (the protocol body is written once against
-    {!Congest.Sim.TRANSPORT}) — and returns a {!Scheme.Exact_stage.t} whose
+    {!Congest.Sim.TRANSPORT}), reporting the typed {!Protocol.failure}s of
+    every distributed stage — and returns a {!Scheme.Exact_stage.t} whose
     [phases] carry the {e measured} rounds and per-vertex memory instead of
     the charged formulas. {!Scheme.build_from_exact} then turns it into a
     full routing scheme.
@@ -48,23 +49,9 @@
     {e trees} are excluded — the distributed parents are valid shortest-path
     parents but break ties by message arrival rather than heap order. *)
 
-(** The engine's typed failures ({!Superstep.failure}), re-exported. *)
-type failure = Superstep.failure =
-  | Setup_timeout of { vertex : int; round : int }
-  | Stalled of {
-      vertex : int;
-      round : int;
-      phase : string;
-      superstep : int;
-      continuous : bool;
-    }
-  | Link_lost of { vertex : int; neighbor : int; reason : string }
-  | Queue_overflow of { vertex : int; port : int; length : int; limit : int }
-  | Harvest of { vertex : int; reason : string }
-  | Transport of string
-
-val failure_to_string : failure -> string
-val pp_failure : Format.formatter -> failure -> unit
+val failure_to_string : Protocol.failure -> string
+(** {!Protocol.failure_to_string}: the stage reports the engine's typed
+    failures. *)
 
 type outcome = {
   exact : Scheme.Exact_stage.t;
@@ -83,7 +70,7 @@ type outcome = {
   phase_traffic : (string * Superstep.traffic) list;
       (** per phase, aligned with [phase_rounds]: data and control messages,
           supersteps and detection waves *)
-  failures : failure list;  (** empty iff the protocol completed cleanly *)
+  failures : Protocol.failure list;  (** empty iff the protocol completed cleanly *)
 }
 
 val run :

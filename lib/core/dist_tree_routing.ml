@@ -226,20 +226,17 @@ module M = struct
     | t -> invalid_arg (Printf.sprintf "Dist_tree_routing: corrupt tag %d" t)
 end
 
-module S = Congest.Sim.Make (M)
-module R = Congest.Reliable.Make (M)
-
 (* The node program is written against the shared transport signature, so
    the same protocol body runs bit-identically on the raw synchronous
    simulator and on the reliable transport's virtual rounds. *)
-type transport = (module Congest.Sim.TRANSPORT with type msg = msg)
+module P = Protocol.Make (M)
 
 type outcome = {
   scheme : Tz.Tree_routing.scheme;
   report : Congest.Metrics.t;
   u_count : int;
   d_bfs : int;
-  failures : string list;
+  failures : Protocol.failure list;
 }
 
 let words_of_table = 4
@@ -269,9 +266,6 @@ type action =
 
 let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
     ?scheduler ?domains g ~tree =
-  let use_reliable =
-    match reliable with Some b -> b | None -> Option.is_some faults
-  in
   let n = Graph.n g in
   let qprob = match q with Some q -> q | None -> 1.0 /. sqrt (float_of_int n) in
   let root = Tree.root tree in
@@ -297,23 +291,18 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
   let llog = int_of_float (ceil (log (float_of_int (max 2 n)) /. log 2.0)) in
   let tables : Tz.Tree_routing.table option array = Array.make n None in
   let labels : Tz.Tree_routing.label option array = Array.make n None in
-  (* Per-vertex failure slots: a vertex only ever reports about itself, so
-     giving each its own cell keeps the collection race-free under the
-     domain-sharded scheduler and makes the final order canonical (vertex
-     id, then program order) instead of scheduler-interleaving order. *)
-  let fail_slots : string list array = Array.make n [] in
-  let fail v s =
-    fail_slots.(v) <- Printf.sprintf "v%d: %s" v s :: fail_slots.(v)
-  in
   let u_count_out = ref 1 and dz_out = ref 0 in
 
-  let node ((module T) : transport) ~me ~(neighbors : int array) =
-    let deg = Array.length neighbors in
+  let node ((module T) : P.transport) (v : Protocol.vertex) =
+    let me = v.me in
+    let deg = Array.length v.neighbors in
     let is_root = me = root in
     let my_tree = in_tree.(me) in
     let my_u = in_u.(me) in
     let local_root_flag = my_tree && (is_root || my_u) in
     let myrng = Random.State.make [| seeds.(me) |] in
+    (* a protocol invariant broke here *)
+    let fail reason = v.fail (Protocol.Harvest { vertex = me; reason }) in
     (* phase markers, root only: the run's rounds get named after the
        paper's algorithms so per-phase breakdowns line up with the text *)
     let phase name =
@@ -386,15 +375,8 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
     let upq : payload Queue.t = Queue.create () in
     let downq : payload Queue.t = Queue.create () in
     let streamq : msg Queue.t = Queue.create () in
-    let agenda = ref [] in
-    let schedule r a =
-      let rec ins = function
-        | [] -> [ (r, a) ]
-        | (r', _) :: _ as l when r < r' -> (r, a) :: l
-        | x :: rest -> x :: ins rest
-      in
-      agenda := ins !agenda
-    in
+    let agenda = Protocol.agenda () in
+    let schedule r a = Protocol.schedule agenda r a in
     let update_mem () =
       let words =
         36
@@ -439,7 +421,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
         | P_light_end { origin; count; iter } ->
           if iter = !cur_iter && origin = ancestors.(iter) then begin
             got_end3 := true;
-            if count <> !collect3_len then fail me "alg3: item count mismatch"
+            if count <> !collect3_len then fail "alg3: item count mismatch"
           end
         | P_shift { origin; q; iter } ->
           if iter = !cur_iter && origin = ancestors.(iter) then begin
@@ -470,7 +452,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
         global_sent := true;
         my_global_s := 1 + !global_sum;
         if local_root_flag && !my_global_s <> !s_cur then
-          fail me
+          fail
             (Printf.sprintf "global size mismatch: conv=%d alg1=%d" !my_global_s !s_cur);
         if local_root_flag then my_global_s := !s_cur;
         (* local roots already reported via Size_to_parent at A_size_up *)
@@ -534,7 +516,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
       | Index { j; pid } ->
         if port = tp_port.(me) then begin
           my_index := j;
-          if pid <> tp_id.(me) then fail me "index from wrong parent"
+          if pid <> tp_id.(me) then fail "index from wrong parent"
         end
       | Bfs { depth } ->
         if !bfs_parent_port < 0 && not is_root then begin
@@ -709,7 +691,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
         end
       | A_alg1_end i ->
         if local_root_flag then begin
-          if ancestors.(i) >= 0 && not !got_anc then fail me "alg1: ancestor msg missing";
+          if ancestors.(i) >= 0 && not !got_anc then fail "alg1: ancestor msg missing";
           ancestors.(i + 1) <- (if ancestors.(i) >= 0 then !a_next else -1);
           s_cur := !s_cur + !s_add
         end;
@@ -745,7 +727,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
         end
       | A_alg3_end i ->
         if local_root_flag && ancestors.(i) >= 0 then begin
-          if not !got_end3 then fail me "alg3: end marker missing";
+          if not !got_end3 then fail "alg3: end marker missing";
           lights := List.rev !collect3 @ !lights
         end;
         collect3 := [];
@@ -787,7 +769,7 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
         end
       | A_alg6_end i ->
         if local_root_flag then begin
-          if ancestors.(i) >= 0 && not !got_anc then fail me "alg6: ancestor msg missing";
+          if ancestors.(i) >= 0 && not !got_anc then fail "alg6: ancestor msg missing";
           q_cur := !q_cur + !q_add
         end;
         sub_end ();
@@ -804,13 +786,12 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
            crashed, network cut), give up with a reason instead of waiting
            forever *)
         if not !params_known then begin
-          fail me
-            (Printf.sprintf "setup timed out: no Params by round %d" (T.round ()));
+          v.fail (Protocol.Setup_timeout { vertex = me; round = T.round () });
           finished := true
         end
       | A_finish ->
         if my_tree then begin
-          if !final_entry < 0 then fail me "no dfs interval";
+          if !final_entry < 0 then fail "no dfs interval";
           tables.(me) <-
             Some
               {
@@ -838,23 +819,15 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
         if not (Queue.is_empty streamq) then send_down (Queue.pop streamq)
       end
     in
-    let dead_seen = ref [] in
-    let check_dead dead =
-      List.iter
-        (fun (p, why) ->
-          if not (List.mem p !dead_seen) then begin
-            dead_seen := p :: !dead_seen;
-            fail me (Printf.sprintf "link to v%d lost: %s" neighbors.(p) why);
-            if p = tp_port.(me) then begin
-              fail me "tree parent unreachable: aborting";
-              finished := true
-            end
-            else if p = !bfs_parent_port then begin
-              fail me "bfs parent unreachable: aborting";
-              finished := true
-            end
-          end)
-        dead
+    let abort_if_parent p =
+      if p = tp_port.(me) then begin
+        fail "tree parent unreachable: aborting";
+        finished := true
+      end
+      else if p = !bfs_parent_port then begin
+        fail "bfs parent unreachable: aborting";
+        finished := true
+      end
     in
     (* round 0: children announce; schedule fixed early actions *)
     phase "setup";
@@ -864,17 +837,9 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
     schedule ((4 * n) + 64) A_params_check;
     update_mem ();
     let next_deadline () =
-      let a = match !agenda with [] -> max_int | (r, _) :: _ -> r in
+      let a = Protocol.deadline agenda in
       if Queue.is_empty upq && Queue.is_empty downq && Queue.is_empty streamq then a
       else min a (T.round () + 1)
-    in
-    let rec run_due () =
-      match !agenda with
-      | (r, a) :: rest when r <= T.round () ->
-        agenda := rest;
-        run_action a;
-        run_due ()
-      | _ -> ()
     in
     let rec loop () =
       if not !finished then begin
@@ -883,8 +848,10 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
         for i = 0 to T.count ib - 1 do
           handle (T.port ib i) (T.msg ib i)
         done;
-        (match T.dead_ports () with [] -> () | dead -> check_dead dead);
-        run_due ();
+        (match T.dead_ports () with
+        | [] -> ()
+        | dead -> Protocol.check_dead v dead abort_if_parent);
+        Protocol.run_due agenda (T.round ()) run_action;
         relay ();
         update_mem ();
         loop ()
@@ -892,32 +859,13 @@ let run ~rng ?q ?(stagger = true) ?faults ?reliable ?config ?trace ?max_rounds
     in
     loop ()
   in
-  let report =
-    if use_reliable then
-      R.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?scheduler ?domains
-        ?config g
-        ~node:(fun t rctx -> node t ~me:rctx.R.me ~neighbors:rctx.R.neighbors)
-    else
-      S.run ~edge_capacity:2 ?faults ?trace ?max_rounds ?scheduler ?domains g
-        ~node:(fun (sctx : S.ctx) ->
-          node
-            (module S.Transport : Congest.Sim.TRANSPORT with type msg = msg)
-            ~me:sctx.S.me ~neighbors:sctx.S.neighbors)
-  in
-  let failures =
-    let per_vertex =
-      Array.fold_right (fun fs acc -> List.rev_append fs acc) fail_slots []
-    in
-    match report.Congest.Sim.outcome with
-    | Congest.Sim.Completed -> per_vertex
-    | Congest.Sim.Deadlocked _ as oc ->
-      Format.asprintf "%a" Congest.Sim.pp_outcome oc :: per_vertex
-    | Congest.Sim.Round_limit -> "round limit exceeded" :: per_vertex
+  let report, failures =
+    P.run ?faults ?reliable ?config ?trace ?max_rounds ?scheduler ?domains g ~node
   in
   {
     scheme =
       Tz.Tree_routing.of_members tree ~table:(Array.get tables) ~label:(Array.get labels);
-    report = report.Congest.Sim.metrics;
+    report;
     u_count = !u_count_out;
     d_bfs = !dz_out;
     failures;

@@ -12,7 +12,7 @@ type t = {
   exact_gate : verdict;
   upper_gate : verdict;
   gate_mode : Dist_scheme.gate_mode;
-  failures : Dist_scheme.failure list;
+  failures : Protocol.failure list;
   metrics : Congest.Metrics.t;
   phases : (string * int) list;
   traffic : (string * Superstep.traffic) list;

@@ -40,7 +40,7 @@ type t = {
   gate_mode : Dist_scheme.gate_mode;
       (** the mode both gates run in: {!Dist_scheme.auto_gate_mode} of the
           vertex count *)
-  failures : Dist_scheme.failure list;
+  failures : Protocol.failure list;
       (** the failing stage's; empty iff every stage that ran completed *)
   metrics : Congest.Metrics.t;  (** every stage that ran, merged *)
   phases : (string * int) list;

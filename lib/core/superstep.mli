@@ -10,9 +10,11 @@
     its budget, a {e continuous} one sends data as soon as edges have
     capacity and the root closes it by termination detection), the
     per-port data queues drained within edge capacity 2 after control
-    traffic, the watchdog and typed failures, the per-phase memory peaks,
-    spans and traffic, and the choice of transport. A stage supplies a
-    {!plan} and, per vertex, a {!hooks} record.
+    traffic, the watchdog, and the per-phase memory peaks, spans and
+    traffic. A stage supplies a {!plan} and, per vertex, a {!hooks}
+    record. What the engine shares with Section 3's tree protocol is
+    {!Protocol}'s: the typed failures, the choice of transport with its
+    per-vertex failure slots, the agenda and the dead-link loop.
 
     Two timing invariants make phase and superstep tags unnecessary on
     data: the root defers each decision by one round, so an Advance/Next
@@ -25,38 +27,6 @@
     that no data is queued or in flight (Mattern's four-counter method).
     The inbox is read in place and each record decoded once. DESIGN.md §16
     gives the argument. *)
-
-type failure =
-  | Setup_timeout of { vertex : int; round : int }
-      (** the BFS setup never opened phase 0 at this vertex *)
-  | Stalled of {
-      vertex : int;
-      round : int;
-      phase : string;
-      superstep : int;
-      continuous : bool;
-    }
-      (** watchdog: no message traffic and no barrier progress for a whole
-          interval — the typed outcome of a wedged stage (e.g. a crash-stop
-          fault partitioning the barrier tree) instead of a hang.
-          [superstep] counts the segment's supersteps, or its detection
-          waves when the segment is [continuous] *)
-  | Link_lost of { vertex : int; neighbor : int; reason : string }
-      (** the reliable layer declared an incident edge dead; every edge
-          carries wave data, so the stage cannot complete *)
-  | Queue_overflow of { vertex : int; port : int; length : int; limit : int }
-      (** {!enqueue} would have made a port's queue [length] messages long,
-          past [limit], the longest single queue the watchdog interval
-          covers (DESIGN.md §16); the vertex stops. Queues that feed one
-          another are not bounded, and can still make the watchdog report
-          a flowing stage as [Stalled]. *)
-  | Harvest of { vertex : int; reason : string }
-      (** harvested per-vertex state is inconsistent (rejected cluster
-          tree, non-adjacent parent, …) *)
-  | Transport of string  (** simulator-level outcome: deadlock, round limit *)
-
-val failure_to_string : failure -> string
-val pp_failure : Format.formatter -> failure -> unit
 
 (** The wire type of the distributed construction. The first six
     constructors are the engine's control traffic; the rest are stage
@@ -128,7 +98,7 @@ val enqueue : 'seg ctx -> int -> msg -> unit
 
 val enqueue_all : 'seg ctx -> except:int -> msg -> unit
 
-val fail : 'seg ctx -> failure -> unit
+val fail : 'seg ctx -> Protocol.failure -> unit
 (** Report a failure at this vertex and stop it. *)
 
 type hooks = {
@@ -162,7 +132,7 @@ type result = {
       (** setup first: measured rounds (virtual over {!Congest.Reliable})
           and the peak words of any vertex *)
   traffic : (string * traffic) list;  (** per phase, aligned with [phases] *)
-  failures : failure list;  (** the transport's, then per vertex by id *)
+  failures : Protocol.failure list;  (** the transport's, then per vertex by id *)
 }
 
 val run :

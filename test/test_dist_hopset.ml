@@ -184,11 +184,11 @@ let test_crash_typed_failure () =
     let typed =
       List.exists
         (function
-          | Routing.Dist_hopset.Stalled _ | Routing.Dist_hopset.Link_lost _
-          | Routing.Dist_hopset.Setup_timeout _ ->
+          | Routing.Protocol.Stalled _ | Routing.Protocol.Link_lost _
+          | Routing.Protocol.Setup_timeout _ ->
             true
-          | Routing.Dist_hopset.Queue_overflow _ | Routing.Dist_hopset.Harvest _
-          | Routing.Dist_hopset.Transport _ ->
+          | Routing.Protocol.Queue_overflow _ | Routing.Protocol.Harvest _
+          | Routing.Protocol.Transport _ ->
             false)
         fs
     in
@@ -335,7 +335,7 @@ let test_stage_verdicts () =
   if
     not
       (List.mem
-         (Routing.Dist_hopset.Transport "round limit exceeded")
+         (Routing.Protocol.Transport "round limit exceeded")
          p.Routing.Pipeline.failures)
   then
     Alcotest.failf "upper stage did not stop on the round limit: %s"

@@ -261,11 +261,11 @@ let test_watchdog_crash () =
     let typed =
       List.exists
         (function
-          | Routing.Dist_scheme.Stalled _ | Routing.Dist_scheme.Link_lost _
-          | Routing.Dist_scheme.Setup_timeout _ ->
+          | Routing.Protocol.Stalled _ | Routing.Protocol.Link_lost _
+          | Routing.Protocol.Setup_timeout _ ->
             true
-          | Routing.Dist_scheme.Queue_overflow _ | Routing.Dist_scheme.Harvest _
-          | Routing.Dist_scheme.Transport _ ->
+          | Routing.Protocol.Queue_overflow _ | Routing.Protocol.Harvest _
+          | Routing.Protocol.Transport _ ->
             false)
         fs
     in
@@ -489,13 +489,13 @@ let test_setup_timeout () =
   in
   List.iter
     (function
-      | Routing.Dist_scheme.Setup_timeout _ | Routing.Dist_scheme.Link_lost _ -> ()
+      | Routing.Protocol.Setup_timeout _ | Routing.Protocol.Link_lost _ -> ()
       | _ -> Alcotest.failf "unexpected failure kind among: %s" (show ()))
     fs;
   if
     not
       (List.exists
-         (function Routing.Dist_scheme.Setup_timeout _ -> true | _ -> false)
+         (function Routing.Protocol.Setup_timeout _ -> true | _ -> false)
          fs)
   then Alcotest.failf "no Setup_timeout among: %s" (show ());
   if o.Routing.Dist_scheme.report.Congest.Metrics.rounds >= max_rounds then
@@ -566,7 +566,7 @@ let token_relay ?split ~n ~budget ~port0 () =
   if r.Routing.Superstep.failures <> [] then
     Alcotest.failf "ring n=%d: %s" n
       (String.concat " | "
-         (List.map Routing.Superstep.failure_to_string r.Routing.Superstep.failures));
+         (List.map Routing.Protocol.failure_to_string r.Routing.Superstep.failures));
   match (r.Routing.Superstep.phases, r.Routing.Superstep.traffic) with
   | [ _; p ], [ _; (_, t) ] ->
     (Array.fold_left ( + ) 0 hops, landed, t, p.Routing.Cost.rounds)
@@ -634,12 +634,12 @@ let test_continuous_token () =
 let test_queue_overflow () =
   let r, _, _ = relay_run ~n:12 ~budget:1 ~burst:1500 ~port0:0 () in
   match r.Routing.Superstep.failures with
-  | Routing.Superstep.Queue_overflow { vertex = 0; port = 0; length; limit } :: _ ->
+  | Routing.Protocol.Queue_overflow { vertex = 0; port = 0; length; limit } :: _ ->
     Alcotest.(check int) "limit" (2 * ((4 * 12) + 64 - (2 * 12))) limit;
     Alcotest.(check int) "length" (limit + 1) length
   | fs ->
     Alcotest.failf "expected a queue overflow at v0 port 0, got: %s"
-      (String.concat " | " (List.map Routing.Superstep.failure_to_string fs))
+      (String.concat " | " (List.map Routing.Protocol.failure_to_string fs))
 
 (* A failed exact stage is never spliced: cut at 150 rounds, the run
    harvests no cluster, and build_scheme must not route on what is left. *)

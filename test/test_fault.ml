@@ -452,12 +452,14 @@ let test_tree_routing_masked_drops () =
   let g = Gen.connected_erdos_renyi ~rng:(rng ()) ~n:28 ~avg_deg:3.0 () in
   let tree = Tree.bfs_spanning g ~root:0 in
   let clean = tree_routing_run 123 g tree in
-  Alcotest.(check (list string)) "clean run has no failures" [] clean.failures;
+  Alcotest.(check (list string)) "clean run has no failures" []
+    (List.map Routing.Protocol.failure_to_string clean.failures);
   let faults =
     Congest.Fault.make { Congest.Fault.none with seed = 17; drop = 0.05 }
   in
   let noisy = tree_routing_run ~faults 123 g tree in
-  Alcotest.(check (list string)) "noisy run has no failures" [] noisy.failures;
+  Alcotest.(check (list string)) "noisy run has no failures" []
+    (List.map Routing.Protocol.failure_to_string noisy.failures);
   Alcotest.(check bool) "scheme bit-identical under drops" true
     (Tz.Tree_routing.equal clean.scheme noisy.scheme);
   Alcotest.(check bool) "the network really was noisy" true
@@ -465,8 +467,29 @@ let test_tree_routing_masked_drops () =
   Alcotest.(check bool) "repairs happened" true
     (noisy.report.Congest.Metrics.retransmitted > 0)
 
-(* --- crash-stop of a non-root tree vertex: structured per-vertex failure
-   reasons, termination, never a deadlock --- *)
+(* A tree-protocol run's typed failures, split by constructor: setup
+   timeouts (vertex, round), lost links (vertex, neighbour) and aborts or
+   broken invariants (vertex, reason). A transport-level failure (deadlock,
+   round limit) fails the test, as does a constructor only the superstep
+   engine reports. *)
+let split_failures fs =
+  List.fold_right
+    (fun f (timeouts, lost, harvest) ->
+      match f with
+      | Routing.Protocol.Setup_timeout { vertex; round } ->
+        ((vertex, round) :: timeouts, lost, harvest)
+      | Routing.Protocol.Link_lost { vertex; neighbor; _ } ->
+        (timeouts, (vertex, neighbor) :: lost, harvest)
+      | Routing.Protocol.Harvest { vertex; reason } ->
+        (timeouts, lost, (vertex, reason) :: harvest)
+      | Routing.Protocol.Transport _ | Routing.Protocol.Stalled _
+      | Routing.Protocol.Queue_overflow _ ->
+        Alcotest.failf "unexpected failure: %s" (Routing.Protocol.failure_to_string f))
+    fs ([], [], [])
+
+(* --- crash-stop of a non-root tree vertex mid-setup: the setup never
+   completes, so every live vertex times out; the victim's neighbours also
+   lose their links to it. The run terminates, never deadlocks. --- *)
 
 let test_tree_routing_crash () =
   let g = Gen.connected_erdos_renyi ~rng:(rng ()) ~n:24 ~avg_deg:3.0 () in
@@ -479,19 +502,24 @@ let test_tree_routing_crash () =
     Congest.Fault.make { Congest.Fault.none with crashes = [ (victim, 12) ] }
   in
   let out = tree_routing_run ~faults ~config:fast 123 g tree in
-  Alcotest.(check bool) "failures are reported" true (out.failures <> []);
-  List.iter
-    (fun f ->
-      if
-        String.length f >= 8
-        && String.sub f 0 8 = "deadlock"
-      then Alcotest.failf "run deadlocked: %s" f)
-    out.failures;
-  Alcotest.(check bool) "round limit not hit" true
-    (not (List.mem "round limit exceeded" out.failures))
+  let timeouts, lost, harvest = split_failures out.failures in
+  Alcotest.(check int) "victim" 1 victim;
+  (* the watchdog fires at round 4n + 64 = 152 (the connected ER graph
+     has n = 22) *)
+  Alcotest.(check (list (pair int int)))
+    "one setup timeout per live vertex"
+    (List.filter_map
+       (fun v -> if v = victim then None else Some (v, 152))
+       (List.init (Graph.n g) Fun.id))
+    timeouts;
+  Alcotest.(check (list (pair int int)))
+    "the victim's neighbours lose their links"
+    [ (8, 1); (9, 1); (17, 1); (20, 1) ]
+    lost;
+  Alcotest.(check (list (pair int string))) "no aborts" [] harvest
 
 (* --- crash pre-setup: the watchdog ends the run with a reason even when the
-   crash silences the whole schedule flood --- *)
+   crash silences the whole schedule flood (4n + 64 = 96 on the 8-ring) --- *)
 
 let test_tree_routing_crash_of_root_neighbor_region () =
   let g = Gen.ring ~rng:(rng ()) ~n:8 () in
@@ -503,12 +531,19 @@ let test_tree_routing_crash_of_root_neighbor_region () =
   (* vertices 1 and 7 are the root's only neighbours on the ring: from round 0
      the root is cut off and nothing can be set up *)
   let out = tree_routing_run ~faults ~config:fast 123 g tree in
-  Alcotest.(check bool) "failures are reported" true (out.failures <> []);
-  List.iter
-    (fun f ->
-      if String.length f >= 8 && String.sub f 0 8 = "deadlock" then
-        Alcotest.failf "run deadlocked: %s" f)
-    out.failures
+  let timeouts, lost, harvest = split_failures out.failures in
+  Alcotest.(check (list (pair int int)))
+    "the vertices cut off from the root time out"
+    [ (3, 96); (4, 96); (5, 96) ]
+    timeouts;
+  Alcotest.(check (list (pair int int)))
+    "the crashed vertices' neighbours lose their links"
+    [ (0, 1); (0, 7); (2, 1); (6, 7) ]
+    lost;
+  Alcotest.(check (list (pair int string)))
+    "their tree children abort"
+    [ (2, "tree parent unreachable: aborting"); (6, "tree parent unreachable: aborting") ]
+    harvest
 
 let () =
   Alcotest.run "fault"

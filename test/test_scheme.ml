@@ -220,7 +220,8 @@ let test_distributed_tree_routing_on_cluster_tree () =
   Alcotest.(check bool) "cluster tree is large" true (Tree.size tree > 50);
   let out = Routing.Dist_tree_routing.run ~rng:(rng 152) g ~tree in
   Alcotest.(check (list string)) "no protocol failures" []
-    out.Routing.Dist_tree_routing.failures;
+    (List.map Routing.Protocol.failure_to_string
+       out.Routing.Dist_tree_routing.failures);
   let vs = Array.of_list (Tree.vertices tree) in
   let r = rng 153 in
   for _ = 1 to 400 do

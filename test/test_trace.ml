@@ -310,7 +310,8 @@ let test_tree_trace_totals () =
   let tr = Tr.make () in
   let out = Routing.Dist_tree_routing.run ~rng:(rng 52) ~trace:tr g ~tree in
   Alcotest.(check (list string)) "no protocol failures" []
-    out.Routing.Dist_tree_routing.failures;
+    (List.map Routing.Protocol.failure_to_string
+       out.Routing.Dist_tree_routing.failures);
   let total =
     out.Routing.Dist_tree_routing.report.Congest.Metrics.rounds
   in
