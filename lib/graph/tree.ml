@@ -154,25 +154,6 @@ let of_members ~root members =
     ~parent:(Array.map (fun (_, p, _) -> p) m)
     ~wparent:(Array.map (fun (_, _, w) -> w) m)
 
-let of_tree_graph g ~root =
-  let n = Graph.n g in
-  if Graph.m g <> n - 1 || not (Graph.is_connected g) then
-    invalid_arg "Tree.of_tree_graph: graph is not a tree";
-  let parent = Array.make n absent and wparent = Array.make n 0.0 in
-  let queue = Queue.create () in
-  parent.(root) <- -1;
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.take queue in
-    Graph.iter_neighbors g v (fun u w ->
-        if parent.(u) = absent then begin
-          parent.(u) <- v;
-          wparent.(u) <- w;
-          Queue.add u queue
-        end)
-  done;
-  of_parents ~root ~parent ~wparent
-
 let bfs_spanning g ~root =
   let n = Graph.n g in
   let parent = Array.make n absent and wparent = Array.make n 0.0 in
@@ -189,6 +170,11 @@ let bfs_spanning g ~root =
         end)
   done;
   of_parents ~root ~parent ~wparent
+
+let of_tree_graph g ~root =
+  if Graph.m g <> Graph.n g - 1 || not (Graph.is_connected g) then
+    invalid_arg "Tree.of_tree_graph: graph is not a tree";
+  bfs_spanning g ~root
 
 let shortest_path_tree g ~root =
   let { Sssp.dist; parent = sp } = Sssp.dijkstra g ~src:root in
