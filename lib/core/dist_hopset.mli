@@ -37,7 +37,7 @@
       relay as it arrives, by next-hop tables deposited from run A's edge
       list), the far endpoint buffers proposals and commits them when the
       segment closes by lex-min [(value, edge)] — a distributed Jacobi
-      step, bit-identical to [Hopset.run_core]'s snapshot relaxation.
+      step, bit-identical to [Hopset.run]'s snapshot relaxation.
       Cluster phases append a continuous {e recovery segment} (backward
       trigger to the feeding endpoint, forward accumulating walk, commit
       at the close by lex-min [(acc, prev)]) and a final [B]-budget

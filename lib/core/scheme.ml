@@ -69,15 +69,9 @@ module Exact_stage = struct
       for v = n - 1 downto 0 do
         if levels.(v) >= i then srcs := v :: !srcs
       done;
-      if !srcs = [] then begin
-        dist.(i) <- Array.make n infinity;
-        pivots.(i) <- Array.make n (-1)
-      end
-      else begin
-        let d, s = Sssp.dijkstra_sources g ~srcs:!srcs in
-        dist.(i) <- d;
-        pivots.(i) <- s
-      end
+      let d, s = Sssp.dijkstra_sources g ~srcs:!srcs in
+      dist.(i) <- d;
+      pivots.(i) <- s
     done;
     (dist, pivots)
 
@@ -164,10 +158,8 @@ module Upper_stage = struct
     for v = n - 1 downto 0 do
       if levels.(v) >= j then srcs := (v, 0.0) :: !srcs
     done;
-    if !srcs = [] then (Array.make n infinity, Array.make n (-1))
-    else
-      let dist, _, origin = Hopset.run_attributed hopset ~sources:!srcs ~beta in
-      (dist, origin)
+    let dist, _, origin = Hopset.run hopset ~sources:!srcs ~beta in
+    (dist, origin)
 
   let limits ~n pivot_estimates i =
     match List.assoc_opt (i + 1) pivot_estimates with
@@ -226,9 +218,8 @@ module Upper_stage = struct
     let one_eps = 1.0 +. epsilon in
     let keep_host u d = d *. one_eps < limits.(u) in
     let keep_virtual u d = d *. one_eps *. one_eps < limits.(u) in
-    let dist, prov =
-      Hopset.run_limited hopset ~sources:[ (w, 0.0) ] ~beta ~keep_host
-        ~keep_virtual
+    let dist, prov, _ =
+      Hopset.run ~keep_host ~keep_virtual hopset ~sources:[ (w, 0.0) ] ~beta
     in
     (* candidate (dist, parent) per vertex *)
     let cdist = Array.copy dist in
@@ -240,8 +231,8 @@ module Upper_stage = struct
         | Hopset.Via_host parent -> cparent.(v) <- parent
         | Hopset.Via_hopset _ | Hopset.Source | Hopset.Unreached -> ())
       prov;
-    (* path recovery on used hopset edges *)
-    let cdist0 = Array.copy cdist in
+    (* path recovery on used hopset edges, reading the estimates [dist]
+       from before it *)
     let prop_acc = Array.make n infinity and prop_prev = Array.make n max_int in
     let edges = Hopset.edges hopset in
     Array.iteri
@@ -262,7 +253,7 @@ module Upper_stage = struct
             if v = e.Hopset.y then path
             else Array.init len (fun idx -> path.(len - 1 - idx))
           in
-          let acc = ref cdist0.(ordered.(0)) in
+          let acc = ref dist.(ordered.(0)) in
           for idx = 1 to len - 1 do
             let u = ordered.(idx) and prev = ordered.(idx - 1) in
             (match Graph.weight g prev u with
@@ -272,7 +263,7 @@ module Upper_stage = struct
                and must still acquire a parent on the path *)
             (* tolerance: the per-edge sum can differ from the stored
                edge weight in the last floating-point bits *)
-            if !acc <= cdist0.(u) +. (1e-9 *. (1.0 +. abs_float cdist0.(u)))
+            if !acc <= dist.(u) +. (1e-9 *. (1.0 +. abs_float dist.(u)))
                && (!acc, prev) < (prop_acc.(u), prop_prev.(u))
             then begin
               prop_acc.(u) <- !acc;
@@ -281,27 +272,24 @@ module Upper_stage = struct
           done
         | _ -> ())
       prov;
-    Array.iteri
-      (fun u a ->
-        if a < infinity then begin
-          cdist.(u) <- Float.min a cdist0.(u);
-          cparent.(u) <- prop_prev.(u);
-          joined_by_path.(u) <- true
-        end)
-      prop_acc;
+    for u = 0 to n - 1 do
+      if prop_acc.(u) < infinity then begin
+        cdist.(u) <- Float.min prop_acc.(u) dist.(u);
+        cparent.(u) <- prop_prev.(u);
+        joined_by_path.(u) <- true
+      end
+    done;
     (* final B-bounded limited wave from all current candidates *)
-    let wave, wparent =
-      Virtual_graph.bf_iteration_limited (Hopset.virtual_graph hopset) cdist
-        ~keep_going:(fun u d -> u = w || keep_host u d)
-    in
-    Array.iteri
-      (fun v d ->
-        if d < cdist.(v) then begin
-          cdist.(v) <- d;
-          cparent.(v) <- wparent.(v);
-          joined_by_path.(v) <- false
-        end)
-      wave;
+    let wparent = Array.make n (-1) in
+    Virtual_graph.bf_iteration (Hopset.virtual_graph hopset)
+      ~keep_going:(fun u d -> u = w || keep_host u d)
+      ~dist:cdist ~parent:wparent ();
+    for v = 0 to n - 1 do
+      if wparent.(v) >= 0 then begin
+        cparent.(v) <- wparent.(v);
+        joined_by_path.(v) <- false
+      end
+    done;
     of_candidates ~epsilon ~limits g ~level ~owner:w ~cdist ~cparent
       ~joined:joined_by_path
 

@@ -104,34 +104,51 @@ let dijkstra_hops g ~src =
   drain ();
   ({ dist; parent }, hops)
 
-(* One synchronous Bellman-Ford round: every vertex with a finite current
-   estimate offers [d + w] to each neighbour. Returns whether anything
-   improved. Using double buffering keeps the semantics exactly
-   "d^(t) = min over paths with at most t edges". *)
-let bf_round g dist next parent =
-  let improved = ref false in
-  Array.blit dist 0 next 0 (Array.length dist);
-  Array.iteri
-    (fun v d ->
-      if d < infinity then
-        Graph.iter_neighbors g v (fun u w ->
-            let nd = d +. w in
-            if nd < next.(u) then begin
-              next.(u) <- nd;
-              parent.(u) <- v;
-              improved := true
-            end))
-    dist;
-  Array.blit next 0 dist 0 (Array.length dist);
-  !improved
+(* [dist] is updated in place while [prev] holds the estimates the round
+   started from, so round t computes exactly "d^(t) = min over paths with at
+   most t edges", and a strict [<] against the running minimum gives ties
+   to the smallest sender. The [for] loops over adjacency rows build no
+   closure per vertex; bench tracecost's bellman-ford row gates that. *)
+let bf_rounds g ~hops ~keep_going ?origin ~dist ~parent () =
+  let n = Graph.n g in
+  if
+    Array.length dist <> n
+    || Array.length parent <> n
+    || match origin with Some o -> Array.length o <> n | None -> false
+  then invalid_arg "Sssp.bf_rounds: array length <> n";
+  let prev = Array.make n infinity in
+  let prev_origin = match origin with Some _ -> Array.make n (-1) | None -> [||] in
+  let t = ref 0 and improved = ref true in
+  while !improved && !t < hops do
+    Array.blit dist 0 prev 0 n;
+    (match origin with Some o -> Array.blit o 0 prev_origin 0 n | None -> ());
+    improved := false;
+    for v = 0 to n - 1 do
+      let d = prev.(v) in
+      if d < infinity && keep_going v d then begin
+        let row = Graph.neighbors g v in
+        for p = 0 to Array.length row - 1 do
+          let u, w = row.(p) in
+          let nd = d +. w in
+          if nd < dist.(u) then begin
+            dist.(u) <- nd;
+            parent.(u) <- v;
+            (match origin with Some o -> o.(u) <- prev_origin.(v) | None -> ());
+            improved := true
+          end
+        done
+      end
+    done;
+    incr t
+  done
+
+let always _ _ = true
 
 let bellman_ford_multi g ~srcs ~hops =
   let n = Graph.n g in
   let dist = Array.make n infinity and parent = Array.make n (-1) in
   List.iter (fun (s, d0) -> if d0 < dist.(s) then dist.(s) <- d0) srcs;
-  let next = Array.make n infinity in
-  let rec run t = if t < hops && bf_round g dist next parent then run (t + 1) in
-  run 0;
+  bf_rounds g ~hops ~keep_going:always ~dist ~parent ();
   { dist; parent }
 
 let bellman_ford g ~src ~hops = bellman_ford_multi g ~srcs:[ (src, 0.0) ] ~hops
@@ -140,26 +157,7 @@ let bellman_ford_limited g ~src ~hops ~keep_going =
   let n = Graph.n g in
   let dist = Array.make n infinity and parent = Array.make n (-1) in
   dist.(src) <- 0.0;
-  let next = Array.make n infinity in
-  let round () =
-    let improved = ref false in
-    Array.blit dist 0 next 0 n;
-    Array.iteri
-      (fun v d ->
-        if d < infinity && (v = src || keep_going v d) then
-          Graph.iter_neighbors g v (fun u w ->
-              let nd = d +. w in
-              if nd < next.(u) then begin
-                next.(u) <- nd;
-                parent.(u) <- v;
-                improved := true
-              end))
-      dist;
-    Array.blit next 0 dist 0 n;
-    !improved
-  in
-  let rec run t = if t < hops && round () then run (t + 1) in
-  run 0;
+  bf_rounds g ~hops ~keep_going:(fun v d -> v = src || keep_going v d) ~dist ~parent ();
   { dist; parent }
 
 let path_to { dist; parent } v =

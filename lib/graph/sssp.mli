@@ -29,6 +29,28 @@ val dijkstra_hops : Graph.t -> src:int -> result * int array
     shortest path found (ties broken by the heap order). Used to measure the
     shortest-path diameter [S]. *)
 
+val bf_rounds :
+  Graph.t ->
+  hops:int ->
+  keep_going:(int -> float -> bool) ->
+  ?origin:int array ->
+  dist:float array ->
+  parent:int array ->
+  unit ->
+  unit
+(** The synchronous Bellman–Ford round that every hop-bounded wave here
+    runs on. At most [hops] rounds run in place on [dist], stopping early
+    at a fixpoint. In a round, every vertex [v] whose estimate [d] is
+    finite and passes [keep_going v d] offers [d + w] to each neighbour,
+    against the estimates the round started from; the smallest offer
+    below the receiver's estimate commits, ties going to the smallest
+    sender. [parent.(u)] becomes the sender of [u]'s last improvement and
+    is untouched elsewhere, so a caller that fills [parent] with [-1]
+    reads "improved in this call" as [parent.(u) >= 0]. When [origin] is
+    given, an improvement also copies the sender's origin from the start
+    of the round, exactly as a message would carry it.
+    @raise Invalid_argument if an array's length is not [Graph.n g] *)
+
 val bellman_ford : Graph.t -> src:int -> hops:int -> result
 (** Hop-bounded distances: [dist.(v) = d^(hops)_G(src, v)] — the length of the
     shortest path using at most [hops] edges ([infinity] if none). *)

@@ -97,15 +97,9 @@ let level_fields g mv ~lambda ~levels =
     for j = m - 1 downto 0 do
       if levels.(j) >= i then srcs := mv.(j) :: !srcs
     done;
-    if !srcs = [] then begin
-      dist_to_level.(i) <- Array.make n infinity;
-      pivot_of_level.(i) <- Array.make n (-1)
-    end
-    else begin
-      let d, s = Sssp.dijkstra_sources g ~srcs:!srcs in
-      dist_to_level.(i) <- d;
-      pivot_of_level.(i) <- s
-    end
+    let d, s = Sssp.dijkstra_sources g ~srcs:!srcs in
+    dist_to_level.(i) <- d;
+    pivot_of_level.(i) <- s
   done;
   dist_to_level.(lambda) <- Array.make n infinity;
   pivot_of_level.(lambda) <- Array.make n (-1);

@@ -47,15 +47,17 @@ let measured_arboricity t =
 
 type provenance = Unreached | Source | Via_host of int | Via_hopset of int
 
-(* Shared engine behind [run], [run_attributed] and [run_limited]. [beta]
-   iterations, each a B-bounded host wave (the E' relaxation) followed by the
-   explicit hopset-edge relaxation; origins ride with the waves exactly as a
-   message would carry them. The edge relaxation is a Jacobi step — every
-   relaxation reads the pre-pass snapshot, ties go to the smallest edge
-   index — so the result is independent of edge-scan order and a distributed
-   relay subphase (all relays launched from the same snapshot, committed at
-   the closing barrier) reproduces it bit-for-bit. *)
-let run_core t ~sources ~beta ~keep_host ~keep_virtual =
+let no_limit _ _ = true
+
+(* [beta] iterations, each a B-bounded host wave (the E' relaxation)
+   followed by the explicit hopset-edge relaxation; origins ride with the
+   waves exactly as a message would carry them. The edge relaxation is a
+   Jacobi step — every relaxation reads the post-wave estimates, and
+   candidates commit only after the pass, ties going to the smallest edge
+   index — so the result is independent of edge-scan order and a
+   distributed relay subphase (all relays launched from the same snapshot,
+   committed at the closing barrier) reproduces it bit-for-bit. *)
+let run ?(keep_host = no_limit) ?(keep_virtual = no_limit) t ~sources ~beta =
   let g = Virtual_graph.host t.vg in
   let n = Graph.n g in
   let dist = Array.make n infinity in
@@ -73,69 +75,47 @@ let run_core t ~sources ~beta ~keep_host ~keep_virtual =
     sources;
   let keep_host v d = is_source.(v) || keep_host v d in
   let keep_virtual v d = is_source.(v) || keep_virtual v d in
+  let parent = Array.make n (-1) in
   let cand = Array.make n infinity in
   let cand_e = Array.make n (-1) and cand_o = Array.make n (-1) in
+  (* the edge record goes to the helper whole: a float argument would be
+     boxed per call *)
+  let relax i e a b =
+    if dist.(a) < infinity && keep_virtual a dist.(a) then begin
+      let c = dist.(a) +. e.w in
+      if c < cand.(b) then begin
+        cand.(b) <- c;
+        cand_e.(b) <- i;
+        cand_o.(b) <- origin.(a)
+      end
+    end
+  in
   for _ = 1 to beta do
-    (* (a) E' relaxation: one B-bounded limited wave in the host graph,
-       origins carried per-commit *)
-    let dist', parent, origin' =
-      Virtual_graph.bf_iteration_tracked t.vg dist ~origin ~keep_going:keep_host
-    in
-    Array.iteri
-      (fun v d ->
-        if d < dist.(v) then begin
-          dist.(v) <- d;
-          prov.(v) <- Via_host parent.(v);
-          origin.(v) <- origin'.(v)
-        end)
-      dist';
-    (* (b) hopset edge relaxation (both directions of each stored edge),
-       Jacobi against the post-wave snapshot *)
+    (* (a) E' relaxation: one B-bounded limited wave in the host graph *)
+    Array.fill parent 0 n (-1);
+    Virtual_graph.bf_iteration t.vg ~keep_going:keep_host ~origin ~dist ~parent ();
+    for v = 0 to n - 1 do
+      if parent.(v) >= 0 then prov.(v) <- Via_host parent.(v)
+    done;
+    (* (b) hopset edge relaxation (both directions of each stored edge) *)
     Array.fill cand 0 n infinity;
-    let snap = Array.copy dist and snap_o = Array.copy origin in
     Array.iteri
       (fun i e ->
-        let relax a b =
-          if snap.(a) < infinity && keep_virtual a snap.(a) then begin
-            let v = snap.(a) +. e.w in
-            if v < cand.(b) then begin
-              cand.(b) <- v;
-              cand_e.(b) <- i;
-              cand_o.(b) <- snap_o.(a)
-            end
-          end
-        in
-        relax e.x e.y;
-        relax e.y e.x)
+        relax i e e.x e.y;
+        relax i e e.y e.x)
       t.edges;
-    Array.iteri
-      (fun v c ->
-        if c < dist.(v) then begin
-          dist.(v) <- c;
-          prov.(v) <- Via_hopset cand_e.(v);
-          origin.(v) <- cand_o.(v)
-        end)
-      cand
+    for v = 0 to n - 1 do
+      if cand.(v) < dist.(v) then begin
+        dist.(v) <- cand.(v);
+        prov.(v) <- Via_hopset cand_e.(v);
+        origin.(v) <- cand_o.(v)
+      end
+    done
   done;
   (dist, prov, origin)
 
-let no_limit _ _ = true
-
-let run t ~sources ~beta =
-  let dist, prov, _ =
-    run_core t ~sources ~beta ~keep_host:no_limit ~keep_virtual:no_limit
-  in
-  (dist, prov)
-
-let run_attributed t ~sources ~beta =
-  run_core t ~sources ~beta ~keep_host:no_limit ~keep_virtual:no_limit
-
-let run_limited t ~sources ~beta ~keep_host ~keep_virtual =
-  let dist, prov, _ = run_core t ~sources ~beta ~keep_host ~keep_virtual in
-  (dist, prov)
-
 let beta_distance t ~src ~dst ~beta =
-  let dist, _ = run t ~sources:[ (src, 0.0) ] ~beta in
+  let dist, _, _ = run t ~sources:[ (src, 0.0) ] ~beta in
   dist.(dst)
 
 type check = {
@@ -166,7 +146,7 @@ let verify ~rng t ~beta ~epsilon ~pairs =
   Hashtbl.iter
     (fun s dsts ->
       let exact = (Sssp.dijkstra g ~src:s).Sssp.dist in
-      let est, _ = run t ~sources:[ (s, 0.0) ] ~beta in
+      let est, _, _ = run t ~sources:[ (s, 0.0) ] ~beta in
       List.iter
         (fun dst ->
           if exact.(dst) < infinity && exact.(dst) > 0.0 then begin

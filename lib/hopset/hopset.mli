@@ -9,8 +9,9 @@
     Explorations over [G' ∪ H] never materialize [E']: a single
     Bellman–Ford iteration is (a) one [B]-bounded wave in the host graph
     (the [E'] relaxation) followed by (b) relaxing the explicit hopset
-    edges. This mirrors Lemma 2 of the paper; {!run} reports host-round
-    cost [β·(B + relaxation)]. *)
+    edges. This mirrors Lemma 2 of the paper: an exploration of [β]
+    iterations ({!run}) costs [β·(B + relaxation)] host rounds, which the
+    callers charge. *)
 
 type edge = {
   x : int;  (** host id *)
@@ -50,38 +51,26 @@ type provenance =
   | Via_hopset of int  (** improved through hopset edge [index] *)
 
 val run :
-  t ->
-  sources:(int * float) list ->
-  beta:int ->
-  float array * provenance array
-(** [β] Bellman–Ford iterations on [G' ∪ H] from the given host sources
-    (with initial offsets). Returns per-host-vertex distance estimates and
-    the provenance of each vertex's final value. Estimates of non-virtual
-    host vertices reflect the waves that passed over them. *)
-
-val beta_distance : t -> src:int -> dst:int -> beta:int -> float
-(** Convenience wrapper over {!run} for a single pair. *)
-
-val run_attributed :
+  ?keep_host:(int -> float -> bool) ->
+  ?keep_virtual:(int -> float -> bool) ->
   t ->
   sources:(int * float) list ->
   beta:int ->
   float array * provenance array * int array
-(** Like {!run}, additionally attributing every reached vertex to the source
-    whose wave set its final estimate ([-1] when unreached) — this is how
-    approximate pivot *identities* are found. *)
+(** [β] Bellman–Ford iterations on [G' ∪ H] from the given host sources
+    (with initial offsets). Returns per-host-vertex distance estimates, the
+    provenance of each vertex's final value, and the source whose wave set
+    that value ([-1] when unreached) — how approximate pivot {e identities}
+    are found. Estimates of non-virtual host vertices reflect the waves
+    that passed over them.
 
-val run_limited :
-  t ->
-  sources:(int * float) list ->
-  beta:int ->
-  keep_host:(int -> float -> bool) ->
-  keep_virtual:(int -> float -> bool) ->
-  float array * provenance array
-(** The limited exploration of Appendix B: during the host waves a vertex
-    [u] with estimate [d] forwards only if [keep_host u d]; a virtual vertex
-    relaxes its hopset edges only if [keep_virtual u d]. Sources always
-    forward. *)
+    The limited exploration of Appendix B: during the host waves a vertex
+    [u] with estimate [d] forwards only if [keep_host u d]; a virtual
+    vertex relaxes its hopset edges only if [keep_virtual u d]. Sources
+    always forward; both limits default to none. *)
+
+val beta_distance : t -> src:int -> dst:int -> beta:int -> float
+(** Convenience wrapper over {!run} for a single pair. *)
 
 (** {1 Verification} *)
 

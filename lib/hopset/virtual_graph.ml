@@ -37,70 +37,8 @@ let members t = t.members
 let is_virtual t v = t.index.(v) >= 0
 let to_virtual t v = if t.index.(v) >= 0 then Some t.index.(v) else None
 
-let bf_iteration_gen t est ~keep_going =
-  let n = Graph.n t.host in
-  if Array.length est <> n then invalid_arg "Virtual_graph.bf_iteration: bad array";
-  let dist = Array.copy est in
-  let parent = Array.make n (-1) in
-  let next = Array.make n infinity in
-  (* a fixpoint before the hop budget is exhausted yields the same result as
-     running all B rounds, so stop early *)
-  let rec rounds i =
-    if i < t.b then begin
-      Array.blit dist 0 next 0 n;
-      let improved = ref false in
-      Array.iteri
-        (fun v d ->
-          if d < infinity && keep_going v d then
-            Graph.iter_neighbors t.host v (fun u w ->
-                let nd = d +. w in
-                if nd < next.(u) then begin
-                  next.(u) <- nd;
-                  parent.(u) <- v;
-                  improved := true
-                end))
-        dist;
-      Array.blit next 0 dist 0 n;
-      if !improved then rounds (i + 1)
-    end
-  in
-  rounds 0;
-  (dist, parent)
-
-let bf_iteration t est = bf_iteration_gen t est ~keep_going:(fun _ _ -> true)
-let bf_iteration_limited t est ~keep_going = bf_iteration_gen t est ~keep_going
-
-let bf_iteration_tracked t est ~origin ~keep_going =
-  let n = Graph.n t.host in
-  if Array.length est <> n || Array.length origin <> n then
-    invalid_arg "Virtual_graph.bf_iteration_tracked: bad array";
-  let dist = Array.copy est and orig = Array.copy origin in
-  let parent = Array.make n (-1) in
-  let next = Array.make n infinity and next_orig = Array.make n (-1) in
-  let rec rounds i =
-    if i < t.b then begin
-      Array.blit dist 0 next 0 n;
-      Array.blit orig 0 next_orig 0 n;
-      let improved = ref false in
-      Array.iteri
-        (fun v d ->
-          if d < infinity && keep_going v d then
-            Graph.iter_neighbors t.host v (fun u w ->
-                let nd = d +. w in
-                if nd < next.(u) then begin
-                  next.(u) <- nd;
-                  next_orig.(u) <- orig.(v);
-                  parent.(u) <- v;
-                  improved := true
-                end))
-        dist;
-      Array.blit next 0 dist 0 n;
-      Array.blit next_orig 0 orig 0 n;
-      if !improved then rounds (i + 1)
-    end
-  in
-  rounds 0;
-  (dist, parent, orig)
+let bf_iteration t ~keep_going ?origin ~dist ~parent () =
+  Sssp.bf_rounds t.host ~hops:t.b ~keep_going ?origin ~dist ~parent ()
 
 let edges_from t v' =
   if not (is_virtual t v') then invalid_arg "Virtual_graph.edges_from: not virtual";

@@ -4,8 +4,8 @@
     edge [{u', v'}] has weight [d_G^{(B)}(u', v')] — the [B]-hop-bounded
     distance in [G]. The whole point of the paper is that [E'] is *never*
     materialized: every operation here is implemented by hop-bounded
-    Bellman–Ford waves in the host graph, exactly as a CONGEST node would
-    run them, and reports the exact round cost of doing so.
+    Bellman–Ford waves in the host graph ({!bf_iteration}), exactly as a
+    CONGEST node would run them: each costs [b] host rounds.
 
     When [V'] contains a vertex in every [B]-hop window of every shortest
     path (Claim 7, guaranteed whp by sampling with probability
@@ -30,40 +30,31 @@ val size : t -> int
 val members : t -> int array
 val is_virtual : t -> int -> bool
 
-val bf_iteration : t -> float array -> float array * int array
-(** One Bellman–Ford iteration *on the virtual graph*, implemented as a
-    [B]-round bounded wave in the host graph: given per-host-vertex
-    estimates (usually [infinity] off [V']), returns updated estimates for
-    every host vertex — so [est'.(v') = min(est.(v'), min_{u'} est.(u') +
-    d^{(B)}(u', v'))] for virtual vertices, and intermediate host vertices
-    see the passing wave too (the paper uses this to grow cluster trees).
-    Second component: the host-graph parent of each improved vertex.
-    Host-round cost: [b t]. *)
-
-val bf_iteration_limited :
+val bf_iteration :
   t ->
-  float array ->
   keep_going:(int -> float -> bool) ->
-  float array * int array
-(** Like {!bf_iteration}, but a vertex [u] holding estimate [d] only extends
-    the wave when [keep_going u d] holds — the "limited" explorations used
-    to grow (approximate) clusters without flooding the graph. Vertices that
-    fail the predicate still *receive* values. *)
-
-val bf_iteration_tracked :
-  t ->
-  float array ->
-  origin:int array ->
-  keep_going:(int -> float -> bool) ->
-  float array * int array * int array
-(** {!bf_iteration_limited} with an auxiliary origin label riding along:
-    every per-round commit copies the sender's origin of the {e previous}
-    round, exactly as a message would carry it. Ties go to the smallest
-    sender id within a round and are never displaced by equal values in
-    later rounds — the same rule a synchronized protocol superstep applies,
-    which is what makes the distributed attribution bit-identical.
-    Returns [(dist, parent, origin)] with [parent] the host parent of each
-    vertex's final commit. *)
+  ?origin:int array ->
+  dist:float array ->
+  parent:int array ->
+  unit ->
+  unit
+(** One Bellman–Ford iteration {e on the virtual graph}, implemented as a
+    [B]-round bounded wave in the host graph: {!Dgraph.Sssp.bf_rounds} with
+    [hops = b t], in place on per-host-vertex estimates (usually [infinity]
+    off [V']). With [keep_going] always true, [dist.(v')] becomes
+    [min(dist.(v'), min_{u'} dist.(u') + d^{(B)}(u', v'))] for virtual
+    vertices, and intermediate host vertices see the passing wave too (the
+    paper uses this to grow cluster trees). A vertex [u] holding estimate
+    [d] extends the wave only when [keep_going u d] holds — the "limited"
+    explorations that grow (approximate) clusters without flooding the
+    graph; vertices that fail the predicate still {e receive} values.
+    [parent] gets the host parent of each improved vertex, and [origin],
+    when given, the origin label of the sender, as a message would carry
+    it. Ties go to the smallest sender id within a round and are never
+    displaced by equal values in later rounds — the rule a synchronized
+    protocol superstep applies, which is what makes the distributed
+    attribution bit-identical.
+    @raise Invalid_argument if an array's length is not the host's [n] *)
 
 val edges_from : t -> int -> (int * float) list
 (** The virtual edges incident to one virtual vertex, computed on demand:

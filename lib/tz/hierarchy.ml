@@ -71,15 +71,9 @@ let build ~rng ~k g =
     for v = n - 1 downto 0 do
       if level.(v) >= i then srcs := v :: !srcs
     done;
-    if !srcs = [] then begin
-      dist.(i) <- Array.make n infinity;
-      raw.(i) <- Array.make n (-1)
-    end
-    else begin
-      let res = Sssp.dijkstra_multi g ~srcs:!srcs in
-      dist.(i) <- res.Sssp.dist;
-      raw.(i) <- attribute_sources res.Sssp.parent !srcs
-    end
+    let res = Sssp.dijkstra_multi g ~srcs:!srcs in
+    dist.(i) <- res.Sssp.dist;
+    raw.(i) <- attribute_sources res.Sssp.parent !srcs
   done;
   let pivots =
     Array.init k (fun i -> Array.init n (strict_pivot ~dist ~pivots:raw i))

@@ -45,12 +45,103 @@ let test_vg_bf_iteration_semantics () =
   let v' = (Virtual_graph.members vg).(0) in
   let est = Array.make n infinity in
   est.(v') <- 0.0;
-  let est', _ = Virtual_graph.bf_iteration vg est in
+  let est' = Array.copy est in
+  Virtual_graph.bf_iteration vg ~keep_going:(fun _ _ -> true) ~dist:est'
+    ~parent:(Array.make n (-1)) ();
   let bounded = (Sssp.bellman_ford g ~src:v' ~hops:8).Sssp.dist in
   (* one virtual BF iteration from v' = a single B-bounded wave *)
   for v = 0 to n - 1 do
     Alcotest.(check (float 1e-6)) "wave" (min bounded.(v) est.(v)) est'.(v)
   done
+
+(* An independent reference for the wave under Virtual_graph.bf_iteration
+   (Sssp.bf_rounds): b double-buffered rounds over [Array.iteri] and
+   [Graph.iter_neighbors], sharing no code with the kernel. *)
+let reference_wave g ~b est ~origin ~keep_going =
+  let n = Graph.n g in
+  let dist = Array.copy est and orig = Array.copy origin in
+  let parent = Array.make n (-1) in
+  let next = Array.make n infinity and next_orig = Array.make n (-1) in
+  let rec rounds i =
+    if i < b then begin
+      Array.blit dist 0 next 0 n;
+      Array.blit orig 0 next_orig 0 n;
+      let improved = ref false in
+      Array.iteri
+        (fun v d ->
+          if d < infinity && keep_going v d then
+            Graph.iter_neighbors g v (fun u w ->
+                let nd = d +. w in
+                if nd < next.(u) then begin
+                  next.(u) <- nd;
+                  next_orig.(u) <- orig.(v);
+                  parent.(u) <- v;
+                  improved := true
+                end))
+        dist;
+      Array.blit next 0 dist 0 n;
+      Array.blit next_orig 0 orig 0 n;
+      if !improved then rounds (i + 1)
+    end
+  in
+  rounds 0;
+  (dist, parent, orig)
+
+(* Connected ER graphs with n <= 60 and a random b; estimates, origins and
+   per-vertex limits drawn with infinities. Half the draws use unit weights
+   and integral estimates and limits, so that equal offers inside a round
+   and estimates on a limit are common. *)
+let prop_bf_iteration_matches_reference =
+  QCheck.Test.make ~name:"bf_iteration = reference wave" ~count:300
+    QCheck.(make Gen.(pair (int_bound 1_000_000) bool))
+    (fun (seed, with_origin) ->
+      let r = Random.State.make [| seed; 405 |] in
+      let ties = Random.State.bool r in
+      let weights = if ties then Gen.unit_weights else Gen.uniform_weights 1.0 6.0 in
+      let g =
+        Gen.connected_erdos_renyi ~rng:r ~weights
+          ~n:(2 + Random.State.int r 59)
+          ~avg_deg:(1.0 +. Random.State.float r 5.0)
+          ()
+      in
+      let n = Graph.n g in
+      let b = 1 + Random.State.int r n in
+      let vg = Virtual_graph.make g ~members:[ 0 ] ~b in
+      let draw ~inf scale =
+        if Random.State.int r 4 < inf then infinity
+        else if ties then float_of_int (Random.State.int r (int_of_float scale))
+        else Random.State.float r scale
+      in
+      let est = Array.init n (fun _ -> draw ~inf:2 12.0) in
+      let lim = Array.init n (fun _ -> draw ~inf:1 16.0) in
+      let origin = Array.init n (fun _ -> Random.State.int r (n + 1) - 1) in
+      let keep_going v d = d < lim.(v) in
+      let rdist, rparent, rorigin = reference_wave g ~b est ~origin ~keep_going in
+      let dist = Array.copy est and parent = Array.make n (-1) in
+      let orig = Array.copy origin in
+      if with_origin then
+        Virtual_graph.bf_iteration vg ~keep_going ~origin:orig ~dist ~parent ()
+      else Virtual_graph.bf_iteration vg ~keep_going ~dist ~parent ();
+      let bits = Array.map Int64.bits_of_float in
+      bits dist = bits rdist
+      && parent = rparent
+      && ((not with_origin) || orig = rorigin))
+
+let test_bf_iteration_rejects_bad_lengths () =
+  let g, vg = make_vg ~n:40 ~b:4 () in
+  let n = Graph.n g in
+  let rejects name ?origin ~dist ~parent () =
+    Alcotest.(check bool) name true
+      (try
+         Virtual_graph.bf_iteration vg ~keep_going:(fun _ _ -> true) ?origin ~dist
+           ~parent ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  let dist = Array.make n infinity and parent = Array.make n (-1) in
+  rejects "short dist" ~dist:(Array.make (n - 1) infinity) ~parent ();
+  rejects "long parent" ~dist ~parent:(Array.make (n + 1) (-1)) ();
+  rejects "short origin" ~origin:(Array.make (n - 1) (-1)) ~dist ~parent ()
 
 let test_vg_claim7_distances () =
   (* with sampling density 4 ln n / B, virtual distances = host distances *)
@@ -160,7 +251,7 @@ let test_measure_beta_converges () =
 let test_hopset_provenance () =
   let _, _, h = build_hopset ~n:200 ~b:16 () in
   let mv = Virtual_graph.members (Hopset.virtual_graph h) in
-  let dist, prov = Hopset.run h ~sources:[ (mv.(0), 0.0) ] ~beta:6 in
+  let dist, prov, _ = Hopset.run h ~sources:[ (mv.(0), 0.0) ] ~beta:6 in
   Alcotest.(check bool) "source marked" true (prov.(mv.(0)) = Hopset.Source);
   Array.iteri
     (fun v p ->
@@ -220,9 +311,9 @@ let test_run_limited_blocks () =
   let src = (Virtual_graph.members vg).(0) in
   (* block everything beyond radius 5: distances past it must be worse than
      the unlimited run *)
-  let d_free, _ = Hopset.run h ~sources:[ (src, 0.0) ] ~beta:6 in
-  let d_lim, _ =
-    Hopset.run_limited h ~sources:[ (src, 0.0) ] ~beta:6
+  let d_free, _, _ = Hopset.run h ~sources:[ (src, 0.0) ] ~beta:6 in
+  let d_lim, _, _ =
+    Hopset.run h ~sources:[ (src, 0.0) ] ~beta:6
       ~keep_host:(fun _ d -> d < 5.0)
       ~keep_virtual:(fun _ d -> d < 5.0)
   in
@@ -242,7 +333,7 @@ let test_run_attributed_origins () =
   let mv = Virtual_graph.members vg in
   let srcs = [ mv.(0); mv.(Array.length mv - 1) ] in
   let dist, _, origin =
-    Hopset.run_attributed h ~sources:(List.map (fun s -> (s, 0.0)) srcs) ~beta:8
+    Hopset.run h ~sources:(List.map (fun s -> (s, 0.0)) srcs) ~beta:8
   in
   let exact = (Sssp.dijkstra_multi g ~srcs).Sssp.dist in
   Array.iteri
@@ -265,7 +356,7 @@ let test_empty_hopset () =
   Alcotest.(check int) "arboricity" 0 (Hopset.measured_arboricity h);
   (* runs still work: pure B-bounded waves *)
   let src = (Virtual_graph.members vg).(0) in
-  let dist, _ = Hopset.run h ~sources:[ (src, 0.0) ] ~beta:2 in
+  let dist, _, _ = Hopset.run h ~sources:[ (src, 0.0) ] ~beta:2 in
   Alcotest.(check (float 1e-9)) "source zero" 0.0 dist.(src)
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
@@ -278,6 +369,8 @@ let () =
           Alcotest.test_case "membership" `Quick test_vg_membership;
           Alcotest.test_case "edges = B-bounded distances" `Quick test_vg_edges_are_bounded_distances;
           Alcotest.test_case "bf iteration = one wave" `Quick test_vg_bf_iteration_semantics;
+          Alcotest.test_case "bf iteration rejects bad lengths" `Quick
+            test_bf_iteration_rejects_bad_lengths;
           Alcotest.test_case "Claim 7 density: d_G' = d_G" `Quick test_vg_claim7_distances;
           Alcotest.test_case "sparse V': d_G' >= d_G" `Quick test_vg_explicit_weights_dominate;
         ] );
@@ -299,5 +392,6 @@ let () =
           Alcotest.test_case "run_attributed origins" `Quick test_run_attributed_origins;
           Alcotest.test_case "empty hopset" `Quick test_empty_hopset;
         ] );
-      qsuite "properties" [ prop_hopset_beta_improves ];
+      qsuite "properties"
+        [ prop_hopset_beta_improves; prop_bf_iteration_matches_reference ];
     ]
