@@ -943,16 +943,24 @@ let allocated_bytes () =
    stage's handlers, set-up and harvest. With decoded inbox lists, two
    dispatch closures and a dead-link check per wake-up and a Queue cell per
    send it measured 527.1 B/message; reading the inbox in place, 241.7. The
-   budget sits between the two. *)
+   budget sits between the two.
+
+   Bellman-Ford row: one Sssp.bellman_ford from vertex 0 with hops = n on
+   a 24x24 grid, run to its fixpoint, per vertex. With an Array.iteri over
+   the float estimates and a closure per vertex per round it measured
+   3 471 B/vertex; with for loops over adjacency rows, 408.4, mostly the
+   boxed float argument of keep_going. The budget sits between the two. *)
 let tracecost_off_budget_bytes_per_round = 16_000.0
 let tracecost_reliable_budget_bytes_per_round = 32_000.0
 let tracecost_superstep_budget_bytes_per_message = 400.0
+let tracecost_bellman_ford_budget_bytes_per_vertex = 1_500.0
 
 let tracecost ?(check = false) () =
   header
     "tracecost: allocations per executed round, trace off vs on, raw and \
-     over Reliable under faults (ring n=64), and per delivered message in \
-     the superstep engine (8x8 grid)";
+     over Reliable under faults (ring n=64), per delivered message in the \
+     superstep engine (8x8 grid), and per vertex of one Bellman-Ford run to \
+     its fixpoint (24x24 grid)";
   let module Imsg = struct
     type t = int
 
@@ -990,9 +998,11 @@ let tracecost ?(check = false) () =
   let superstep () =
     (Routing.Dist_scheme.run ~rng:(rng 2603) ~k:3 grid).Routing.Dist_scheme.report
   in
+  let grid24 = Gen.grid ~rng:(rng 2604) ~rows:24 ~cols:24 () in
+  let bellman_ford () = Sssp.bellman_ford grid24 ~src:0 ~hops:(Graph.n grid24) in
   let reps = 3 in
-  (* bytes per unit ([per]: executed rounds or delivered messages) of each
-     repetition, after a warm-up *)
+  (* bytes per unit ([per]: executed rounds, delivered messages or
+     vertices) of each repetition, after a warm-up *)
   let measure per run =
     let once () =
       let a0 = allocated_bytes () in
@@ -1022,6 +1032,10 @@ let tracecost ?(check = false) () =
         "message",
         measure messages superstep,
         Some tracecost_superstep_budget_bytes_per_message );
+      ( "bellman-ford",
+        "vertex",
+        measure (fun r -> Array.length r.Sssp.dist) bellman_ford,
+        Some tracecost_bellman_ford_budget_bytes_per_vertex );
     ]
   in
   Printf.printf "%-16s %8s %-8s %12s %12s %12s %10s\n" "config" "units" "unit"
@@ -1036,7 +1050,8 @@ let tracecost ?(check = false) () =
     "(%d repetitions per row after a warm-up; gated rows compare their min\n\
     \ with the budget. Trace on vs off beyond run-to-run drift is the ring\n\
     \ buffer's cost; the reliable row counts real rounds; the superstep row\n\
-    \ is the exact stage on an 8x8 grid, k = 3, per delivered message)\n"
+    \ is the exact stage on an 8x8 grid, k = 3, per delivered message; the\n\
+    \ bellman-ford row is one hop-unbounded wave on a 24x24 grid, per vertex)\n"
     reps;
   emit_json "tracecost"
     [
@@ -1047,7 +1062,7 @@ let tracecost ?(check = false) () =
                J.Obj
                  ([
                     ("config", J.Str config);
-                    (unit ^ "s", J.Int units);
+                    ((if unit = "vertex" then "vertices" else unit ^ "s"), J.Int units);
                     ("reps", J.Int reps);
                     ("bytes_per_" ^ unit ^ "_min", J.Float per.(0));
                     ("bytes_per_" ^ unit ^ "_median", J.Float per.(reps / 2));
