@@ -369,10 +369,10 @@ let () =
           Alcotest.test_case "membership" `Quick test_vg_membership;
           Alcotest.test_case "edges = B-bounded distances" `Quick test_vg_edges_are_bounded_distances;
           Alcotest.test_case "bf iteration = one wave" `Quick test_vg_bf_iteration_semantics;
-          Alcotest.test_case "bf iteration rejects bad lengths" `Quick
-            test_bf_iteration_rejects_bad_lengths;
           Alcotest.test_case "Claim 7 density: d_G' = d_G" `Quick test_vg_claim7_distances;
           Alcotest.test_case "sparse V': d_G' >= d_G" `Quick test_vg_explicit_weights_dominate;
+          Alcotest.test_case "bf iteration rejects bad lengths" `Quick
+            test_bf_iteration_rejects_bad_lengths;
         ] );
       ( "hopset",
         [
